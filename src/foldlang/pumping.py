@@ -9,16 +9,24 @@ whose even parts can be repeated any number of times while staying inside
 the F-system's language.  Families are verified against the brute-force
 oracle, never trusted.
 
-Window lengths follow from the block structure of the aligned strands;
-correctness is enforced by an explicit reconstruction check (the windowed
-form must reproduce the strand formulas as strings, for several j), not
-by trusting any closed-form expression.
+One rule places the windows for every pairing.  Each strand is a row of
+fixed and pump pieces, x y^. z for a regular decomposition and
+u v^. x y^. z for a context-free one, with multipliers chosen so both
+strands grow by the same length per step of j.  The pumped windows are
+the common refinement of the two strands' per-step growth partitions,
+where a procedure cut sorts before an equal core cut.  A window in the
+core's first pump block sits as far left as both strands' blocks allow,
+one in a later core pump block as far right, and the odd windows are the
+gaps between them.  Correctness is enforced by an explicit reconstruction
+check (the windowed form must reproduce the strand formulas as strings,
+for several j), not by trusting the rule.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .cfg import CfgDecomposition, ContextFreeLang
 from .errors import CaseValidationFailed, FiniteComponent, FoldlangError
@@ -224,110 +232,48 @@ def _base_pair(phi: FSystem) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # Lemma constructions
 
+#: (core is CF, procedure is CF) -> lemma
+_LEMMAS = {
+    (False, False): LEMMA_REG_REG,
+    (True, False): LEMMA_CF_REG,
+    (False, True): LEMMA_REG_CF,
+    (True, True): LEMMA_CF_CF,
+}
+
+
+def _lemma_of(phi: FSystem) -> str:
+    return _LEMMAS[isinstance(phi.core, ContextFreeLang),
+                   isinstance(phi.proc, ContextFreeLang)]
+
+
 def lemma1_plan(phi: FSystem) -> StrandPlan:
     """REG,REG: one pumped window per strand (m = 3)."""
-    _require_infinite(phi)
-    r, s = _base_pair(phi)
-    dr = phi.core.decompose(r)
-    ds = phi.proc.decompose(s)
-    return _plan_one_window(LEMMA_REG_REG, None, dr.x, dr.y, dr.z,
-                            ds.x, ds.y, ds.z, dr, ds)
-
-
-def _plan_one_window(lemma, case, fr_left, yr, fr_right, fs_left, ys, fs_right,
-                     core_dec, proc_dec) -> StrandPlan:
-    """Shared m=3 construction: each strand is fixed / periodic / fixed."""
-    r_blocks = (FixedBlock(fr_left), PeriodicBlock(yr, len(ys)), FixedBlock(fr_right))
-    s_blocks = (FixedBlock(fs_left), PeriodicBlock(ys, len(yr)), FixedBlock(fs_right))
-
-    def lens(j0):
-        s_alpha = len(yr) * (j0 * len(ys) + 1)
-        s_beta = len(ys) * (j0 * len(yr) + 1)
-        if len(fs_left) >= len(fr_left):
-            b1, a1 = 0, len(fs_left) - len(fr_left)
-        else:
-            a1, b1 = 0, len(fr_left) - len(fs_left)
-        a2 = s_alpha - a1
-        return [len(fr_left) + a1, len(yr) * len(ys), a2 + len(fr_right)]
-
-    return _search_plan(lemma, case, r_blocks, s_blocks, lens, core_dec, proc_dec)
+    return _plan(phi, LEMMA_REG_REG)
 
 
 def lemma2_plan_cf_reg(phi: FSystem) -> StrandPlan:
     """CF,REG: two pumped windows per strand (m = 5)."""
-    _require_infinite(phi)
-    r, s = _base_pair(phi)
-    dr = phi.core.decompose(r)   # u v x y z
-    ds = phi.proc.decompose(s)   # x y z
-    return _plan_two_one(LEMMA_CF_REG, None,
-                         (dr.u, dr.v, dr.x, dr.y, dr.z),
-                         (ds.x, ds.y, ds.z), dr, ds)
-
-
-def _plan_two_one(lemma, case, r_parts, s_parts, dr, ds) -> StrandPlan:
-    """m=5 construction: double-pump core strand, single-pump procedure."""
-    ur, vr, xr, yr, zr = r_parts
-    xs, ys, zs = s_parts
-    r_blocks = (FixedBlock(ur), PeriodicBlock(vr, len(ys)), FixedBlock(xr),
-                PeriodicBlock(yr, len(ys)), FixedBlock(zr))
-    s_blocks = (FixedBlock(xs), PeriodicBlock(ys, len(vr) + len(yr)), FixedBlock(zs))
-
-    def lens(j0):
-        s_alpha = len(vr) * (j0 * len(ys) + 1)
-        s_beta = len(yr) * (j0 * len(ys) + 1)
-        s_gamma = len(ys) * (j0 * (len(vr) + len(yr)) + 1)
-        if len(xs) >= len(ur):
-            g1, a1 = 0, len(xs) - len(ur)
-        else:
-            a1, g1 = 0, len(ur) - len(xs)
-        if len(zs) >= len(zr):
-            g3, b2 = 0, len(zs) - len(zr)
-        else:
-            b2, g3 = 0, len(zr) - len(zs)
-        a2 = s_alpha - a1
-        b1 = s_beta - b2
-        return [len(ur) + a1, len(vr) * len(ys), a2 + len(xr) + b1,
-                len(yr) * len(ys), b2 + len(zr)]
-
-    return _search_plan(lemma, case, r_blocks, s_blocks, lens, dr, ds)
+    return _plan(phi, LEMMA_CF_REG)
 
 
 def lemma2_plan_reg_cf(phi: FSystem) -> StrandPlan:
     """REG,CF: mirror of the CF,REG case with strand roles swapped."""
-    _require_infinite(phi)
-    r, s = _base_pair(phi)
-    dr = phi.core.decompose(r)   # x y z
-    ds = phi.proc.decompose(s)   # u v x y z
-    return _plan_one_two(LEMMA_REG_CF, None, (dr.x, dr.y, dr.z),
-                         (ds.u, ds.v, ds.x, ds.y, ds.z), dr, ds)
+    return _plan(phi, LEMMA_REG_CF)
 
 
-def _plan_one_two(lemma, case, r_parts, s_parts, dr, ds) -> StrandPlan:
-    """m=5 construction: single-pump core strand, double-pump procedure."""
-    xr, yr, zr = r_parts
-    us, vs, xs, ys, zs = s_parts
-    r_blocks = (FixedBlock(xr), PeriodicBlock(yr, len(vs) + len(ys)), FixedBlock(zr))
-    s_blocks = (FixedBlock(us), PeriodicBlock(vs, len(yr)), FixedBlock(xs),
-                PeriodicBlock(ys, len(yr)), FixedBlock(zs))
+def lemma3_plan(phi: FSystem) -> StrandPlan:
+    """CF,CF: three pumped windows per strand (m = 7), dropping to m = 5
+    when one strand pumps a single piece and m = 3 when both do."""
+    return _plan(phi, LEMMA_CF_CF)
 
-    def lens(j0):
-        s_alpha = len(yr) * (j0 * (len(vs) + len(ys)) + 1)
-        s_beta = len(vs) * (j0 * len(yr) + 1)
-        if len(us) >= len(xr):
-            b1, a1 = 0, len(us) - len(xr)
-        else:
-            a1, b1 = 0, len(xr) - len(us)
-        b2 = s_beta - b1
-        a2 = b2 + len(xs)          # gamma_1 pinned to epsilon
-        a3 = s_alpha - a1 - a2
-        return [len(xr) + a1, len(yr) * len(vs), a2, len(yr) * len(ys),
-                a3 + len(zr)]
 
-    return _search_plan(lemma, case, r_blocks, s_blocks, lens, dr, ds)
+def auto_plan(phi: FSystem) -> StrandPlan:
+    """Select the lemma from the component kinds."""
+    return _plan(phi, _lemma_of(phi))
 
 
 def lemma3_case(dr: CfgDecomposition, ds: CfgDecomposition) -> str:
-    """Total case selector for the CF,CF construction.
+    """Name of the CF,CF subcase, recorded on the plan.
 
     A strand is "single" when one of its pump pieces is empty; otherwise the
     products |v_r||y_s| and |v_s||y_r| pick the greater/less/equal shape.
@@ -349,120 +295,87 @@ def lemma3_case(dr: CfgDecomposition, ds: CfgDecomposition) -> str:
     return "equal"
 
 
-def _single_triple(d: CfgDecomposition) -> tuple[str, str, str]:
-    """Collapse a u v x y z decomposition with an empty pump piece into the
-    fixed / pump / fixed shape of a one-window strand."""
-    if not d.v:
-        return d.u + d.x, d.y, d.z
-    return d.u, d.v, d.x + d.z
-
-
-def lemma3_plan(phi: FSystem) -> StrandPlan:
-    """CF,CF: three pumped windows per strand (m = 7), dropping to m = 5
-    when one strand pumps a single piece and m = 3 when both do."""
+def _plan(phi: FSystem, lemma: str) -> StrandPlan:
+    """Decompose the base pair, build both strands and align them."""
+    if _lemma_of(phi) != lemma:
+        raise FoldlangError(f"{lemma} does not apply to a {_lemma_of(phi)} system")
     _require_infinite(phi)
     r, s = _base_pair(phi)
     dr = phi.core.decompose(r)
     ds = phi.proc.decompose(s)
-    case = lemma3_case(dr, ds)
-    if case == "degenerate":
-        fr_left, pump_r, fr_right = _single_triple(dr)
-        fs_left, pump_s, fs_right = _single_triple(ds)
-        return _plan_one_window(LEMMA_CF_CF, case, fr_left, pump_r, fr_right,
-                                fs_left, pump_s, fs_right, dr, ds)
-    if case == "proc-single":
-        return _plan_two_one(LEMMA_CF_CF, case,
-                             (dr.u, dr.v, dr.x, dr.y, dr.z),
-                             _single_triple(ds), dr, ds)
-    if case == "core-single":
-        return _plan_one_two(LEMMA_CF_CF, case, _single_triple(dr),
-                             (ds.u, ds.v, ds.x, ds.y, ds.z), dr, ds)
-    if case in ("greater", "equal"):
-        return _lemma3_greater(dr, ds, case)
-    return _lemma3_less(dr, ds)
+    cf_cf = lemma == LEMMA_CF_CF
+    r_pieces = _pieces(dr, merge_empty=cf_cf)
+    s_pieces = _pieces(ds, merge_empty=cf_cf)
+    r_pumps, s_pumps = r_pieces[1::2], s_pieces[1::2]
+    # Each strand pumps by the other's total pump base length, so both grow
+    # equally per step of j.  When both pump two pieces, k also makes every
+    # refined window a whole number of copies of each base it lies under.
+    k = 1
+    if len(r_pumps) == len(s_pumps) == 2:
+        k = max(len(r_pumps[0]) * len(s_pumps[1]),
+                len(s_pumps[0]) * len(r_pumps[1]))
+    r_blocks = _strand(r_pieces, k * sum(map(len, s_pumps)))
+    s_blocks = _strand(s_pieces, k * sum(map(len, r_pumps)))
+    case = lemma3_case(dr, ds) if cf_cf else None
+    return _search_plan(lemma, case, r_blocks, s_blocks,
+                        lambda j0: align(r_blocks, s_blocks, j0), dr, ds)
 
 
-def _lemma3_greater(dr: CfgDecomposition, ds: CfgDecomposition, case) -> StrandPlan:
-    ur, vr, xr, yr, zr = dr.u, dr.v, dr.x, dr.y, dr.z
-    us, vs, xs, ys, zs = ds.u, ds.v, ds.x, ds.y, ds.z
-    q = len(vr) * len(ys) * (len(vs) + len(ys))
-    p = len(vr) * len(ys) * (len(vr) + len(yr))
-    r_blocks = (FixedBlock(ur), PeriodicBlock(vr, q), FixedBlock(xr),
-                PeriodicBlock(yr, q), FixedBlock(zr))
-    s_blocks = (FixedBlock(us), PeriodicBlock(vs, p), FixedBlock(xs),
-                PeriodicBlock(ys, p), FixedBlock(zs))
-    l2 = len(vr) * len(vs) * len(ys) * (len(vr) + len(yr))
-    l4 = len(vr) * len(ys) * (len(vr) * len(ys) - len(vs) * len(yr))
-    l6 = len(vr) * len(yr) * len(ys) * (len(vs) + len(ys))
-
-    def lens(j0):
-        s_vr = len(vr) * (j0 * q + 1)
-        s_yr = len(yr) * (j0 * q + 1)
-        s_vs = len(vs) * (j0 * p + 1)
-        s_ys = len(ys) * (j0 * p + 1)
-        if len(us) >= len(ur):
-            g1, a1 = 0, len(us) - len(ur)
-        else:
-            a1, g1 = 0, len(ur) - len(us)
-        if len(zs) >= len(zr):
-            d3, b2 = 0, len(zs) - len(zr)
-        else:
-            b2, d3 = 0, len(zr) - len(zs)
-        g2 = s_vs - g1
-        a2 = g2 + len(xs)          # delta_1 pinned to epsilon
-        a3 = s_vr - a1 - a2
-        b1 = s_yr - b2
-        return [len(ur) + a1, l2, a2, l4, a3 + len(xr) + b1, l6, b2 + len(zr)]
-
-    return _search_plan(LEMMA_CF_CF, case, r_blocks, s_blocks, lens, dr, ds)
+def _pieces(d: RegDecomposition | CfgDecomposition,
+            merge_empty: bool) -> tuple[str, ...]:
+    """Fixed and pump pieces of a decomposition, alternating, fixed first:
+    (x, y, z) or (u, v, x, y, z).  With merge_empty an empty pump piece is
+    folded into its fixed neighbours, leaving (u x, y, z) or (u, v, x z)."""
+    if isinstance(d, RegDecomposition):
+        return d.x, d.y, d.z
+    if merge_empty and not d.v:
+        return d.u + d.x, d.y, d.z
+    if merge_empty and not d.y:
+        return d.u, d.v, d.x + d.z
+    return d.u, d.v, d.x, d.y, d.z
 
 
-def _lemma3_less(dr: CfgDecomposition, ds: CfgDecomposition) -> StrandPlan:
-    ur, vr, xr, yr, zr = dr.u, dr.v, dr.x, dr.y, dr.z
-    us, vs, xs, ys, zs = ds.u, ds.v, ds.x, ds.y, ds.z
-    q = len(vs) * len(yr) * (len(vs) + len(ys))
-    p = len(vs) * len(yr) * (len(vr) + len(yr))
-    r_blocks = (FixedBlock(ur), PeriodicBlock(vr, q), FixedBlock(xr),
-                PeriodicBlock(yr, q), FixedBlock(zr))
-    s_blocks = (FixedBlock(us), PeriodicBlock(vs, p), FixedBlock(xs),
-                PeriodicBlock(ys, p), FixedBlock(zs))
-    l2 = len(vr) * len(vs) * len(yr) * (len(vs) + len(ys))
-    l4 = len(yr) * len(vs) * (len(vs) * len(yr) - len(vr) * len(ys))
-    l6 = len(ys) * len(vs) * len(yr) * (len(vr) + len(yr))
-
-    def lens(j0):
-        s_vr = len(vr) * (j0 * q + 1)
-        s_yr = len(yr) * (j0 * q + 1)
-        s_vs = len(vs) * (j0 * p + 1)
-        s_ys = len(ys) * (j0 * p + 1)
-        if len(us) >= len(ur):
-            g1, a1 = 0, len(us) - len(ur)
-        else:
-            a1, g1 = 0, len(ur) - len(us)
-        if len(zs) >= len(zr):
-            d2, b3 = 0, len(zs) - len(zr)
-        else:
-            b3, d2 = 0, len(zr) - len(zs)
-        a2 = s_vr - a1
-        d1 = s_ys - d2
-        b2 = d1 + len(xs)          # gamma_3 pinned to epsilon
-        b1 = s_yr - b2 - b3
-        return [len(ur) + a1, l2, a2 + len(xr) + b1, l4, b2, l6, b3 + len(zr)]
-
-    return _search_plan(LEMMA_CF_CF, "less", r_blocks, s_blocks, lens, dr, ds)
+def _strand(pieces: tuple[str, ...], mult: int) -> tuple:
+    return tuple(PeriodicBlock(p, mult) if k % 2 else FixedBlock(p)
+                 for k, p in enumerate(pieces))
 
 
-def auto_plan(phi: FSystem) -> StrandPlan:
-    """Select the lemma from the component kinds."""
-    core_cf = isinstance(phi.core, ContextFreeLang)
-    proc_cf = isinstance(phi.proc, ContextFreeLang)
-    if core_cf and proc_cf:
-        return lemma3_plan(phi)
-    if core_cf:
-        return lemma2_plan_cf_reg(phi)
-    if proc_cf:
-        return lemma2_plan_reg_cf(phi)
-    return lemma1_plan(phi)
+def _pump_spans(blocks, j: int) -> list[tuple[int, int, int]]:
+    """(start, end, growth per step of j) of each periodic block at j."""
+    spans = []
+    pos = 0
+    for b in blocks:
+        end = pos + len(b.at(j))
+        if isinstance(b, PeriodicBlock):
+            spans.append((pos, end, len(b.base) * b.mult))
+        pos = end
+    return spans
+
+
+def align(r_blocks, s_blocks, j0: int) -> list[int]:
+    """Window lengths (xi_1, ..., xi_m) aligning the strands at j = j0 + 1,
+    placed by the rule in the module docstring.  A negative odd window
+    (gap) means j0 is too small."""
+    j = j0 + 1
+    r_spans = _pump_spans(r_blocks, j)
+    s_spans = _pump_spans(s_blocks, j)
+    # (growth so far, 0 for a procedure cut or 1 for a core cut)
+    cuts = sorted([(c, 0) for c in accumulate(g for *_, g in s_spans[:-1])]
+                  + [(c, 1) for c in accumulate(g for *_, g in r_spans[:-1])])
+    cuts.append((sum(g for *_, g in r_spans), None))
+    lens = []
+    pos = grown = 0
+    ri = si = 0
+    for cut, side in cuts:
+        width = cut - grown
+        (r_start, r_end, _), (s_start, s_end, _) = r_spans[ri], s_spans[si]
+        start = max(r_start, s_start) if ri == 0 else min(r_end, s_end) - width
+        lens += [start - pos, width]
+        pos, grown = start + width, cut
+        si += side == 0
+        ri += side == 1
+    lens.append(len(materialize(r_blocks, j)) - pos)
+    return lens
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ L2_SYSTEMS = [
     ("S -> a S b | eps", "(ud)*"),
     ("a*", "S -> u S d | eps"),
     ("(ab)*", "S -> u S d | eps"),
+    ("ba*a", "S -> S u | eps"),   # left-recursive procedure: empty v_s
 ]
 
 L3_SYSTEMS = [
@@ -33,6 +34,76 @@ L3_SYSTEMS = [
 ]
 
 ALL_SYSTEMS = [BB_FRONT] + L2_SYSTEMS + [(c, p) for _, c, p in L3_SYSTEMS]
+
+#: plan_to_family(auto_plan(phi)).to_json() for every system in ALL_SYSTEMS.
+FAMILY_JSON = {
+    ('aaaab*', '(uu)*ddd'):
+        ('{"parts": ["", "bb", "aaaa", "", "bbb"], "pumped": [1, 3], '
+         '"lemma": "L1", "j0": 0}'),
+    ('S -> a S b | eps', 'd*'):
+        ('{"parts": ["", "", "", "", "aaaaaaaaaaaaaa", "a", '
+         '"aaaaaaaaaaaaaaaaa", "b", "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb"], '
+         '"pumped": [1, 3, 5, 7], "lemma": "L2cfreg", "j0": 15}'),
+    ('S -> a S b | eps', '(ud)*'):
+        ('{"parts": ["bbbbbbbbbbbbbbb", "b", "aaaaaaaa", "a", '
+         '"aaaaaaaaaaaaaa", "a", "aaaaaaaa", "b", "bbbbbbbbbbbbbbb"], '
+         '"pumped": [1, 3, 5, 7], "lemma": "L2cfreg", "j0": 7}'),
+    ('a*', 'S -> u S d | eps'):
+        ('{"parts": ["", "", "aa", "a", "aaaaaaaaaaaaaa", "", "a", "a", '
+         '"aaaaaaaaaaaaaaa"], "pumped": [1, 3, 5, 7], "lemma": "L2regcf", '
+         '"j0": 0}'),
+    ('(ab)*', 'S -> u S d | eps'):
+        ('{"parts": ["", "", "ba", "ba", "bababababababa", "", "a", "ba", '
+         '"bababababababab"], "pumped": [1, 3, 5, 7], "lemma": "L2regcf", '
+         '"j0": 0}'),
+    ('S -> a S b | eps', 'S -> u S d | eps'):
+        ('{"parts": ["", "", "", "", "aa", "aa", "aaaaaaaaaaaaaa", "", "b", '
+         '"", "b", "bb", "bbbbbbbbbbbbbb"], "pumped": [1, 3, 5, 7, 9, 11], '
+         '"lemma": "L3", "j0": 0}'),
+    ('S -> a a S b | eps', 'S -> u S d | eps'):
+        ('{"parts": ["", "", "", "", "aaaaaaaaaaaa", "aaaaaa", '
+         '"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", '
+         '"", "a", "aa", "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", "bbbb", '
+         '"bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb"], '
+         '"pumped": [1, 3, 5, 7, 9, 11], "lemma": "L3", "j0": 5}'),
+    ('S -> a S b | eps', 'S -> u u S d | eps'):
+        ('{"parts": ["", "", "bb", "bb", '
+         '"bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbaaaaaaaaaaaa", "aaaaaa", '
+         '"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", '
+         '"", "", "", "", "bbbb", '
+         '"bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb"], '
+         '"pumped": [1, 3, 5, 7, 9, 11], "lemma": "L3", "j0": 5}'),
+    ('S -> a S | eps', 'S -> u S | eps'):
+        ('{"parts": ["aaa", "a", "", "", "", "", "aaaaa", "", "", "", "", '
+         '"", ""], "pumped": [1, 11], "lemma": "L3", "j0": 0}'),
+    ('S -> a S b | eps', 'S -> u S | eps'):
+        ('{"parts": ["bbbbbbbbbbbbbb", "b", "bbbbbbbbbbbbbbb", "", "", "a", '
+         '"aaaaaaaaaaaaaaaaaaaaaaaaaaaaa", "", "", "", "", "", ""], '
+         '"pumped": [1, 5, 7, 11], "lemma": "L3", "j0": 13}'),
+    ('S -> a S | eps', 'S -> u S d | eps'):
+        ('{"parts": ["", "", "", "", "", "a", '
+         '"aaaaaaaaaaaaaaaaaaaaaaaaaaaaa", "", "", "", "a", "a", '
+         '"aaaaaaaaaaaaaaaaaaaaaaaaaaaa"], "pumped": [1, 5, 7, 11], "lemma": '
+         '"L3", "j0": 13}'),
+    ('ba*a', 'S -> S u | eps'):
+        ('{"parts": ["aaaaaa", "a", "", "", "ab", "", "", "", ""], "pumped": '
+         '[1, 3, 5, 7], "lemma": "L2regcf", "j0": 0}'),
+}
+
+PLANNERS = {
+    LEMMA_REG_REG: lemma1_plan,
+    LEMMA_CF_REG: lemma2_plan_cf_reg,
+    LEMMA_REG_CF: lemma2_plan_reg_cf,
+    LEMMA_CF_CF: lemma3_plan,
+}
+
+#: one system of each pairing, keyed by the lemma that applies to it
+PAIRING_SYSTEMS = {
+    LEMMA_REG_REG: BB_FRONT,
+    LEMMA_CF_REG: L2_SYSTEMS[0],
+    LEMMA_REG_CF: L2_SYSTEMS[2],
+    LEMMA_CF_CF: L3_SYSTEMS[0][1:],
+}
 
 
 def check_pipeline(phi, plan, n_parts):
@@ -87,10 +158,15 @@ def test_lemma3_pipelines(case, core, proc):
 
 
 def test_auto_plan_selects_by_component_kind():
-    assert auto_plan(system(*BB_FRONT)).lemma == LEMMA_REG_REG
-    assert auto_plan(system(*L2_SYSTEMS[0])).lemma == LEMMA_CF_REG
-    assert auto_plan(system(*L2_SYSTEMS[2])).lemma == LEMMA_REG_CF
-    assert auto_plan(system(*L3_SYSTEMS[0][1:])).lemma == LEMMA_CF_CF
+    for lemma, spec in PAIRING_SYSTEMS.items():
+        assert auto_plan(system(*spec)).lemma == lemma
+
+
+@pytest.mark.parametrize("lemma,other", [(a, b) for a in PLANNERS
+                                         for b in PLANNERS if a != b])
+def test_planner_rejects_other_pairings(lemma, other):
+    with pytest.raises(FoldlangError, match="does not apply"):
+        PLANNERS[lemma](system(*PAIRING_SYSTEMS[other]))
 
 
 # -- cross-checks ------------------------------------------------------------------
@@ -174,6 +250,12 @@ def test_family_json_roundtrip_is_byte_exact():
     obj = json.loads(doc)
     assert list(obj) == ["parts", "pumped", "lemma", "j0"]
     assert obj["lemma"] == "L1"
+
+
+@pytest.mark.parametrize("core,proc", ALL_SYSTEMS)
+def test_family_json_is_pinned(core, proc):
+    family = plan_to_family(auto_plan(system(core, proc)))
+    assert family.to_json() == FAMILY_JSON[core, proc]
 
 
 # -- unary refutation ------------------------------------------------------------------

@@ -8,9 +8,10 @@ import pytest
 from foldlang import Alphabet, RegularLang, parse_regex
 from foldlang.errors import DecompositionError, RegexSyntaxError
 from foldlang.regular import (Concat, Epsilon, Literal, Star, Union,
-                              match_backtrack, literal_word)
+                              literal_word)
 
 from conftest import AB, random_word
+from regex_oracle import match_backtrack
 
 UD = Alphabet("ud")
 
