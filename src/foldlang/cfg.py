@@ -5,6 +5,14 @@ normal form (A -> BC / A -> a, plus a start-epsilon flag), and queried
 through CYK membership, per-length enumeration, and the context-free
 pumping-lemma decomposition taken from a deterministic parse tree.
 
+Each normal form grammar holds one length table (`LengthTable`): bit l of
+`bits[A]` is set iff A derives a string of length l, and `lists[A]` holds
+the same lengths in ascending order. It is built bottom-up, one length at a
+time, and grown on demand. CYK and enumeration try a split s of a span of
+length l under A -> B C only when B derives length s and C derives length
+l - s; under a lifted terminal (`T_a` derives only length 1) that leaves one
+split per span instead of l - 1. Length queries are bit tests.
+
 Grammar syntax: one production group per line, `A -> alpha | beta | eps`;
 nonterminals are uppercase identifiers, terminals are single lowercase
 characters, `eps` is the empty right-hand side.
@@ -100,9 +108,58 @@ class NormalFormGrammar:
     term_prods: dict[str, list[str]]
     start: str
     start_epsilon: bool
+    lengths: LengthTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.lengths = LengthTable(self)
 
     def n_nonterminals(self) -> int:
         return len(self.nonterminals)
+
+
+class LengthTable:
+    """Derivable lengths per nonterminal, for every length up to `limit`.
+
+    bits[A] has bit l set iff A derives a string of length l (l >= 1), and
+    lists[A] holds the same lengths in ascending order."""
+
+    def __init__(self, nf: NormalFormGrammar):
+        self.prods = nf.bin_prods  # not nf itself: no reference cycle
+        self.limit = 1
+        self.bits = {a: 2 if nf.term_prods[a] else 0 for a in nf.nonterminals}
+        self.lists = {a: [1] if nf.term_prods[a] else [] for a in nf.nonterminals}
+
+    def upto(self, n: int) -> LengthTable:
+        """Grow the table to cover every length up to n; returns self."""
+        bits, lists, prods = self.bits, self.lists, self.prods
+        for l in range(self.limit + 1, n + 1):
+            # both halves of a length-l split are shorter than l, so bit l
+            # depends only on bits set in earlier rounds; every split s >= 1
+            for a, alts in prods.items():
+                if any(s for b, c in alts for s in self.splits(b, c, l)):
+                    bits[a] |= 1 << l
+                    lists[a].append(l)
+        self.limit = max(self.limit, n)
+        return self
+
+    def splits(self, b: str, c: str, l: int):
+        """Yield every s with s in L(B) and l - s in L(C), walking the
+        shorter of the two length lists."""
+        lb, lc = self.lists[b], self.lists[c]
+        if len(lb) <= len(lc):
+            cbits = self.bits[c]
+            for s in lb:
+                if s >= l:
+                    return
+                if cbits >> (l - s) & 1:
+                    yield s
+        else:
+            bbits = self.bits[b]
+            for t in lc:
+                if t >= l:
+                    return
+                if bbits >> (l - t) & 1:
+                    yield l - t
 
 
 def _nullable_set(g: Grammar) -> set[str]:
@@ -265,6 +322,7 @@ def to_normal_form(g: Grammar) -> NormalFormGrammar:
 def _cyk_masks(nf: NormalFormGrammar, w: str) -> dict[tuple[str, int], int]:
     """masks[(A, l)] has bit i set iff A derives w[i:i+l]."""
     n = len(w)
+    table = nf.lengths.upto(n)
     masks: dict[tuple[str, int], int] = {}
     for a in nf.nonterminals:
         m = 0
@@ -276,14 +334,15 @@ def _cyk_masks(nf: NormalFormGrammar, w: str) -> dict[tuple[str, int], int]:
     for l in range(2, n + 1):
         for a in nf.nonterminals:
             m = 0
-            for b, c in nf.bin_prods[a]:
-                for s in range(1, l):
-                    left = masks[(b, s)]
-                    if not left:
-                        continue
-                    right = masks[(c, l - s)]
-                    if right:
-                        m |= left & (right >> s)
+            if table.bits[a] >> l & 1:
+                for b, c in nf.bin_prods[a]:
+                    for s in table.splits(b, c, l):
+                        left = masks[(b, s)]
+                        if not left:
+                            continue
+                        right = masks[(c, l - s)]
+                        if right:
+                            m |= left & (right >> s)
             masks[(a, l)] = m & ((1 << (n - l + 1)) - 1)
     return masks
 
@@ -294,8 +353,6 @@ def cyk_member(nf: NormalFormGrammar, w: str) -> bool:
     for ch in w:
         if ch not in nf.terminals:
             return False
-    if nf.start not in nf.bin_prods:
-        return False
     masks = _cyk_masks(nf, w)
     return bool(masks[(nf.start, len(w))] & 1)
 
@@ -304,70 +361,67 @@ def cyk_member(nf: NormalFormGrammar, w: str) -> bool:
 # Enumeration
 
 class _Enumerator:
+    """Per-(nonterminal, length) results, memoised. Below the queried root
+    only splits from the length table are visited, so every entry there is
+    non-empty."""
+
     def __init__(self, nf: NormalFormGrammar):
         self.nf = nf
         self.cache: dict[tuple[str, int], tuple[str, ...]] = {}
+        self.least: dict[tuple[str, int], str] = {}
 
     def strings(self, a: str, n: int) -> tuple[str, ...]:
-        key = (a, n)
-        if key in self.cache:
-            return self.cache[key]
-        nf = self.nf
-        out: set[str] = set()
-        if n == 1:
-            out.update(nf.term_prods[a])
-        elif n >= 2:
-            for b, c in nf.bin_prods[a]:
-                for s in range(1, n):
-                    lefts = self.strings(b, s)
-                    if not lefts:
-                        continue
-                    rights = self.strings(c, n - s)
-                    for x in lefts:
-                        for y in rights:
-                            out.add(x + y)
-        result = tuple(sorted(out, key=nf.terminals.sort_key))
-        self.cache[key] = result
-        return result
+        key = self.nf.terminals.sort_key
 
-    def nonempty(self, a: str, n: int) -> bool:
-        # boolean DP, cheaper than materializing strings
-        key = ("#", a, n)
-        if key in self.cache:
-            return self.cache[key]
-        nf = self.nf
-        if n == 1:
-            val = bool(nf.term_prods[a])
-        elif n < 1:
-            val = False
-        else:
-            val = any(self.nonempty(b, s) and self.nonempty(c, n - s)
-                      for b, c in nf.bin_prods[a] for s in range(1, n))
-        self.cache[key] = val
-        return val
+        def join(pairs):
+            if len(pairs) == 1:
+                # fixed-length halves: the products are sorted and distinct
+                xs, ys = pairs[0]
+                return tuple(x + y for x in xs for y in ys)
+            return tuple(sorted({x + y for xs, ys in pairs for x in xs for y in ys},
+                                key=key))
 
-    def smallest(self, a: str, n: int) -> str | None:
-        """Lexicographically smallest string of length n derived from a.
-        Exact because all candidates per split have equal length."""
-        key = ("<", a, n)
-        if key in self.cache:
-            return self.cache[key]
+        return self._solve(self.cache, a, n,
+                           lambda terms: tuple(sorted(terms, key=key)), join)
+
+    def smallest(self, a: str, n: int) -> str:
+        """Lexicographically smallest string of length n derived from a
+        (n must be in L(a)). Exact because all candidates per split have
+        equal length."""
+        key = self.nf.terminals.sort_key
+
+        def join(pairs):
+            cands = [x + y for x, y in pairs]
+            return cands[0] if len(cands) == 1 else min(cands, key=key)
+
+        return self._solve(self.least, a, n, lambda terms: min(terms, key=key), join)
+
+    def _solve(self, memo, a, n, leaf, join):
+        """memo[(a, n)], filling every entry it needs children first, with
+        an explicit stack. leaf gets A's terminals, join the (B, C) results
+        of every split of every A -> B C."""
         nf = self.nf
-        best: str | None = None
-        if n == 1:
-            for t in nf.term_prods[a]:
-                if best is None or nf.terminals.sort_key(t) < nf.terminals.sort_key(best):
-                    best = t
-        elif n >= 2:
-            for b, c in nf.bin_prods[a]:
-                for s in range(1, n):
-                    if not (self.nonempty(b, s) and self.nonempty(c, n - s)):
-                        continue
-                    cand = self.smallest(b, s) + self.smallest(c, n - s)
-                    if best is None or nf.terminals.sort_key(cand) < nf.terminals.sort_key(best):
-                        best = cand
-        self.cache[key] = best
-        return best
+        table = nf.lengths.upto(n)
+        stack = [(a, n)]
+        while stack:
+            node = stack[-1]
+            if node in memo:
+                stack.pop()
+                continue
+            x, l = node
+            if l == 1:
+                memo[node] = leaf(nf.term_prods[x])
+                stack.pop()
+                continue
+            parts = [((b, s), (c, l - s)) for b, c in nf.bin_prods[x]
+                     for s in table.splits(b, c, l)]
+            todo = [k for part in parts for k in part if k not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            memo[node] = join([(memo[p], memo[q]) for p, q in parts])
+            stack.pop()
+        return memo[(a, n)]
 
 
 def enumerate_length(nf: NormalFormGrammar, n: int, _enum: _Enumerator | None = None) -> list[str]:
@@ -376,8 +430,6 @@ def enumerate_length(nf: NormalFormGrammar, n: int, _enum: _Enumerator | None = 
         raise ValueError("n must be >= 0")
     if n == 0:
         return [""] if nf.start_epsilon else []
-    if nf.start not in nf.bin_prods:
-        return []
     enum = _enum or _Enumerator(nf)
     return list(enum.strings(nf.start, n))
 
@@ -454,12 +506,12 @@ def _longest_path(node: _Node) -> list[_Node]:
 def cfg_decompose(nf: NormalFormGrammar, w: str) -> CfgDecomposition:
     """Decompose via the lowest repeated-nonterminal pair on the longest
     root-to-leaf path of a deterministic parse tree."""
-    if not cyk_member(nf, w):
+    masks = _cyk_masks(nf, w)
+    if not (masks[(nf.start, len(w))] & 1 if w else nf.start_epsilon):
         raise DecompositionError(f"{w!r} is not a member")
     p = cfg_pumping_length(nf)
     if len(w) < p:
         raise DecompositionError(f"|w|={len(w)} < pumping length {p}")
-    masks = _cyk_masks(nf, w)
     tree = _build_tree(nf, masks, w, nf.start, 0, len(w))
     path = _longest_path(tree)
     k = nf.n_nonterminals()
@@ -521,11 +573,10 @@ class ContextFreeLang:
         return tuple(enumerate_length(self.normal_form, n, self._enum))
 
     def has_length(self, n: int) -> bool:
-        if n == 0:
-            return self.normal_form.start_epsilon
-        if self.normal_form.start not in self.normal_form.bin_prods:
-            return False
-        return self._enum.nonempty(self.normal_form.start, n)
+        nf = self.normal_form
+        if n < 1:
+            return n == 0 and nf.start_epsilon
+        return bool(nf.lengths.upto(n).bits[nf.start] >> n & 1)
 
     def smallest_of_length(self, n: int) -> str | None:
         if n == 0:

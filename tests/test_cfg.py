@@ -3,8 +3,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from foldlang import ContextFreeLang, parse_grammar, to_normal_form
+from foldlang import Alphabet, ContextFreeLang, parse_grammar, to_normal_form
 from foldlang.cfg import cyk_member, cfg_pumping_length
 from foldlang.errors import DecompositionError, GrammarSyntaxError
 
@@ -19,28 +20,25 @@ FIXTURES = [ANBN, DYCK, ASTAR, PALIN]
 
 
 def derivation_oracle(text, max_len):
-    """All strings of length <= max_len, by breadth-first expansion of the
-    raw grammar (independent of the normal form and of CYK)."""
+    """All strings of length <= max_len derivable from the raw grammar: the
+    least fixpoint of its productions with every set cut to lengths
+    <= max_len (independent of the normal form and of CYK)."""
     g = parse_grammar(text, AB)
-    out = set()
-    seen = set()
-    stack = [(g.start,)]
-    while stack:
-        form = stack.pop()
-        nt_at = next((i for i, s in enumerate(form) if s in g.productions), None)
-        if nt_at is None:
-            out.add("".join(form))
-            continue
-        for rhs in g.productions[form[nt_at]]:
-            new = form[:nt_at] + rhs + form[nt_at + 1:]
-            if sum(1 for s in new if s not in g.productions) > max_len:
-                continue
-            if len(new) > 3 * max_len + 3:
-                continue
-            if new not in seen:
-                seen.add(new)
-                stack.append(new)
-    return out
+    derives = {a: set() for a in g.productions}
+    changed = True
+    while changed:
+        changed = False
+        for head, alts in g.productions.items():
+            for rhs in alts:
+                words = {""}
+                for sym in rhs:
+                    parts = derives.get(sym, {sym})
+                    words = {x + y for x in words for y in parts
+                             if len(x) + len(y) <= max_len}
+                if not words <= derives[head]:
+                    derives[head] |= words
+                    changed = True
+    return derives[g.start]
 
 
 def brute_words(n):
@@ -109,6 +107,44 @@ def test_normal_form_is_binary():
     assert nf.start_epsilon
 
 
+@st.composite
+def small_grammars(draw):
+    """Grammar text over {a, b}: 1-3 nonterminals, 1-3 alternatives each,
+    right-hand sides of 0-3 symbols (0 is `eps`)."""
+    nts = ("S", "A", "B")[:draw(st.integers(1, 3))]
+    rhs = st.lists(st.sampled_from(nts + ("a", "b")), max_size=3)
+    lines = []
+    for head in nts:
+        alts = draw(st.lists(rhs, min_size=1, max_size=3))
+        lines.append(f"{head} -> " + " | ".join(" ".join(r) or "eps" for r in alts))
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_grammars())
+def test_length_pruned_kernels_match_oracle(text):
+    oracle = derivation_oracle(text, 6)
+    lang = ContextFreeLang(text, AB)
+    ba = Alphabet("ba")
+    reversed_order = ContextFreeLang(text, ba)
+    for n in range(7):
+        expect = sorted((w for w in oracle if len(w) == n), key=AB.sort_key)
+        assert list(lang.enumerate_length(n)) == expect
+        assert list(reversed_order.enumerate_length(n)) == sorted(expect, key=ba.sort_key)
+        assert lang.has_length(n) == bool(expect)
+        assert lang.smallest_of_length(n) == (expect[0] if expect else None)
+        assert reversed_order.smallest_of_length(n) == min(expect, key=ba.sort_key, default=None)
+        for w in brute_words(n):
+            assert lang.member(w) == (w in oracle), w
+
+
+def test_length_queries_need_no_recursion():
+    lang = ContextFreeLang("S -> a S | a", AB)
+    assert lang.has_length(3000)
+    assert lang.smallest_of_length(3000) == "a" * 3000
+    assert not ContextFreeLang("S -> a S b | eps", AB).has_length(2999)
+
+
 def test_cyk_long_input():
     lang = ContextFreeLang(ANBN, AB)
     assert lang.member("a" * 150 + "b" * 150)
@@ -154,6 +190,8 @@ def test_decompose_rejects_short_or_foreign_strings():
         lang.decompose("ab")
     with pytest.raises(DecompositionError):
         lang.decompose("b" * 40)
+    with pytest.raises(DecompositionError):
+        lang.decompose("a" * 20 + "c" + "b" * 20)
 
 
 def test_is_infinite():
