@@ -24,7 +24,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .errors import DecompositionError, GrammarSyntaxError
+from .errors import DecompositionError, FoldlangError, GrammarSyntaxError
 from .folding import Alphabet
 
 _NONTERM = re.compile(r"[A-Z][A-Za-z0-9_]*$")
@@ -470,36 +470,33 @@ class _Node:
     children: list = field(default_factory=list)
 
 
-def _build_tree(nf: NormalFormGrammar, masks, w: str, a: str, i: int, l: int) -> _Node:
-    """Deterministic parse tree: first production, smallest split."""
-    node = _Node(a, i, l)
-    if l == 1 and w[i] in nf.term_prods[a]:
-        return node
-    for b, c in nf.bin_prods[a]:
-        for s in range(1, l):
-            if (masks[(b, s)] >> i) & 1 and (masks[(c, l - s)] >> (i + s)) & 1:
-                node.children = [
-                    _build_tree(nf, masks, w, b, i, s),
-                    _build_tree(nf, masks, w, c, i + s, l - s),
-                ]
-                return node
-    raise AssertionError(f"no derivation for {a} over w[{i}:{i+l}]")
+def _build_tree(nf: NormalFormGrammar, masks, w: str) -> list[_Node]:
+    """Deterministic parse tree of w (first production, smallest split),
+    built top-down without recursion; its nodes, parents first."""
+    nodes = [_Node(nf.start, 0, len(w))]
+    for node in nodes:  # nodes grows while it is walked
+        a, i, l = node.nt, node.start, node.length
+        if l == 1 and w[i] in nf.term_prods[a]:
+            continue
+        node.children = next(
+            ([_Node(b, i, s), _Node(c, i + s, l - s)]
+             for b, c in nf.bin_prods[a] for s in sorted(nf.lengths.splits(b, c, l))
+             if (masks[(b, s)] >> i) & 1 and (masks[(c, l - s)] >> (i + s)) & 1), None)
+        if node.children is None:
+            raise FoldlangError(f"no derivation for {a} over w[{i}:{i + l}]")
+        nodes += node.children
+    return nodes
 
 
-def _longest_path(node: _Node) -> list[_Node]:
-    path = [node]
-    cur = node
-    heights: dict[int, int] = {}
-
-    def height(nd: _Node) -> int:
-        key = id(nd)
-        if key not in heights:
-            heights[key] = 1 + max((height(ch) for ch in nd.children), default=0)
-        return heights[key]
-
-    while cur.children:
-        cur = max(cur.children, key=height)  # ties resolve to the left child
-        path.append(cur)
+def _longest_path(nodes: list[_Node]) -> list[_Node]:
+    """Root-to-leaf path through the tallest child, the left one on a tie;
+    nodes lists the tree parents first."""
+    height: dict[int, int] = {}
+    for nd in reversed(nodes):
+        height[id(nd)] = 1 + max((height[id(ch)] for ch in nd.children), default=0)
+    path = [nodes[0]]
+    while path[-1].children:
+        path.append(max(path[-1].children, key=lambda ch: height[id(ch)]))
     return path
 
 
@@ -512,8 +509,7 @@ def cfg_decompose(nf: NormalFormGrammar, w: str) -> CfgDecomposition:
     p = cfg_pumping_length(nf)
     if len(w) < p:
         raise DecompositionError(f"|w|={len(w)} < pumping length {p}")
-    tree = _build_tree(nf, masks, w, nf.start, 0, len(w))
-    path = _longest_path(tree)
+    path = _longest_path(_build_tree(nf, masks, w))
     k = nf.n_nonterminals()
     tail = path[-(k + 1):]
     seen: dict[str, _Node] = {}
@@ -524,7 +520,7 @@ def cfg_decompose(nf: NormalFormGrammar, w: str) -> CfgDecomposition:
             break
         seen[node.nt] = node
     if upper is None:
-        raise AssertionError("no repeated nonterminal on longest path")  # unreachable
+        raise FoldlangError("no repeated nonterminal on the longest path")
     u = w[:upper.start]
     v = w[upper.start:lower.start]
     x = w[lower.start:lower.start + lower.length]

@@ -9,10 +9,11 @@ which is exponential but exact at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cfg import ContextFreeLang
 from .errors import AlphabetError, NoEqualLengthPair, ResourceLimit, SpecFileError
-from .folding import PROC_ALPHABET, Alphabet, fold
+from .folding import PROC_ALPHABET, Alphabet, fold, fold_permutation
 from .regular import RegularLang
 
 #: Per-length candidate-pair cap for the exhaustive oracle.
@@ -54,15 +55,30 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
 
     With with_witnesses=True, returns a dict mapping each member to one
     witnessing (r, s) pair (the first found in enumeration order).
+
+    Each length slice is folded by gathering: fold(r, s)[k] ==
+    r[fold_permutation(s)[k]], so one itemgetter per distinct permutation
+    folds every r.  Direction strings that differ only in their first step
+    (it lands on an empty stack) share a permutation; the earliest is kept,
+    and r stays in the outer loop, so the first witness found is the one
+    pair-by-pair folding finds.  fs_member keeps folding pair by pair: it
+    returns at the first match, so a gather table built up front for the
+    whole procedure slice can cost more than the folds it saves.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     witnesses: dict[str, tuple[str, str]] = {}
     for n in range(max_len + 1):
         rs, ss = _pairs_at_length(phi, n, pair_cap)
+        gathers: dict[tuple[int, ...], tuple] = {}
+        for s in ss:
+            perm = tuple(fold_permutation(s))
+            if perm not in gathers:
+                # itemgetter needs an index; the empty fold gathers nothing
+                gathers[perm] = (itemgetter(*perm) if perm else lambda r: r, s)
         for r in rs:
-            for s in ss:
-                w = fold(r, s)
+            for gather, s in gathers.values():
+                w = "".join(gather(r))
                 if w not in witnesses:
                     witnesses[w] = (r, s)
     if with_witnesses:

@@ -1,9 +1,18 @@
 """Regular-language engine.
 
-Regexes are parsed to an AST, compiled through a Thompson NFA and subset
-construction to a complete DFA, then minimized.  The automaton supports
-membership, per-length enumeration, and the regular pumping-lemma
-decomposition (first repeated state along the run).
+Regexes are parsed to an AST and compiled to a minimal complete DFA.  The
+compile builds the Glushkov position automaton (one position per literal,
+no epsilon edges), runs the subset construction over it with each state's
+follow positions bucketed by symbol, and minimizes by Moore refinement
+over per-symbol target columns.  The automaton supports membership,
+per-length enumeration, and the regular pumping-lemma decomposition
+(first repeated state along the run).
+
+Each automaton keeps one length table, grown on demand: within[k] holds
+the states from which an accepting state is reachable in exactly k steps.
+Enumeration, `has_length` and `smallest_of_length` read it.  Nothing after
+parsing recurses: the compile, the enumeration and `is_infinite` use
+explicit stacks or worklists.
 
 Concrete regex syntax: single-character literals, `|` union (lowest
 precedence), juxtaposition for concatenation, postfix `*` `+` `?`,
@@ -16,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DecompositionError, RegexSyntaxError
+from .errors import DecompositionError, FoldlangError, RegexSyntaxError
 from .folding import Alphabet
 
 
@@ -145,94 +154,108 @@ def literal_word(word: str) -> RegexAst:
 
 
 # ---------------------------------------------------------------------------
-# NFA construction and determinization
+# Position automaton and determinization
 
-class _Nfa:
-    def __init__(self):
-        self.n = 0
-        self.eps: list[set[int]] = []
-        self.edges: list[dict[str, set[int]]] = []
-
-    def new_state(self):
-        self.eps.append(set())
-        self.edges.append({})
-        self.n += 1
-        return self.n - 1
-
-    def add_eps(self, a, b):
-        self.eps[a].add(b)
-
-    def add_edge(self, a, sym, b):
-        self.edges[a].setdefault(sym, set()).add(b)
+_NOTHING = (False, (), ())
 
 
-def _thompson(nfa: _Nfa, node: RegexAst) -> tuple[int, int]:
-    start = nfa.new_state()
-    end = nfa.new_state()
-    if isinstance(node, Empty):
-        pass
-    elif isinstance(node, Epsilon):
-        nfa.add_eps(start, end)
-    elif isinstance(node, Literal):
-        nfa.add_edge(start, node.symbol, end)
-    elif isinstance(node, Concat):
-        cur = start
-        for part in node.parts:
-            s, e = _thompson(nfa, part)
-            nfa.add_eps(cur, s)
-            cur = e
-        nfa.add_eps(cur, end)
-    elif isinstance(node, Union):
-        for part in node.parts:
-            s, e = _thompson(nfa, part)
-            nfa.add_eps(start, s)
-            nfa.add_eps(e, end)
-    elif isinstance(node, (Star, Plus, Optional)):
-        s, e = _thompson(nfa, node.child)
-        nfa.add_eps(start, s)
-        nfa.add_eps(e, end)
-        if isinstance(node, (Star, Optional)):
-            nfa.add_eps(start, end)
-        if isinstance(node, (Star, Plus)):
-            nfa.add_eps(e, s)
-    else:
-        raise TypeError(node)
-    return start, end
+def _positions(ast: RegexAst, alphabet: Alphabet):
+    """Glushkov position automaton of ast, built with an explicit stack.
 
-
-def _eps_closure(nfa: _Nfa, states: frozenset[int]) -> frozenset[int]:
-    stack = list(states)
-    closure = set(states)
+    Position p >= 1 is the p-th literal, read left to right, and sym[p] is
+    its symbol's index in the alphabet; position 0 is the start.  follow[p]
+    holds the positions that may come right after p.  Returns (sym, follow,
+    finals), where finals are the positions a match may end on."""
+    index = {s: k for k, s in enumerate(alphabet.symbols)}
+    sym: list[int | None] = [None]
+    follow: list[set[int]] = [set()]
+    results = []  # (nullable, first positions, last positions) per subtree
+    stack = [(ast, None)]  # (node, None) to visit, (node, kids) to combine
     while stack:
-        q = stack.pop()
-        for r in nfa.eps[q]:
-            if r not in closure:
-                closure.add(r)
-                stack.append(r)
-    return frozenset(closure)
+        node, kids = stack.pop()
+        if kids is None:
+            if isinstance(node, Literal):
+                if node.symbol not in index:  # matches no word over the alphabet
+                    results.append(_NOTHING)
+                    continue
+                sym.append(index[node.symbol])
+                follow.append(set())
+                results.append((False, (len(sym) - 1,), (len(sym) - 1,)))
+                continue
+            kids = node.parts if isinstance(node, (Concat, Union)) else (
+                (node.child,) if isinstance(node, (Star, Plus, Optional)) else ())
+            if kids:
+                stack.append((node, kids))
+                stack += [(kid, None) for kid in reversed(kids)]
+                continue
+        parts = results[len(results) - len(kids):]
+        del results[len(results) - len(kids):]
+        if isinstance(node, Empty):
+            results.append(_NOTHING)
+        elif isinstance(node, Epsilon):
+            results.append((True, (), ()))
+        elif isinstance(node, Union):
+            results.append((any(n for n, _, _ in parts),
+                            [p for _, first, _ in parts for p in first],
+                            [p for _, _, last in parts for p in last]))
+        elif isinstance(node, Concat):
+            nullable, ahead, last = True, (), []
+            for n, first, part_last in reversed(parts):
+                for p in part_last:
+                    follow[p].update(ahead)
+                if nullable:
+                    last.extend(part_last)
+                ahead = [*first, *ahead] if n else first
+                nullable = nullable and n
+            results.append((nullable, ahead, last))
+        elif isinstance(node, (Star, Plus, Optional)):
+            n, first, last = parts[0]
+            if not isinstance(node, Optional):
+                for p in last:
+                    follow[p].update(first)
+            results.append((n or not isinstance(node, Plus), first, last))
+        else:
+            raise TypeError(node)
+    nullable, first, last = results.pop()
+    follow[0].update(first)
+    return sym, follow, set(last) | ({0} if nullable else set())
+
+
+def _closure(seeds, successors) -> set[int]:
+    """Every state reachable from seeds through successors(q)."""
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        for r in successors(frontier.pop()):
+            if r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return seen
 
 
 class Automaton:
     """Deterministic, complete automaton over an Alphabet.
 
     States are 0..n-1; transitions is a list of per-state dicts mapping
-    every alphabet symbol to a state.  Immutable after construction.
-    """
+    every alphabet symbol to a state.  The language is fixed at
+    construction; the length table (`within`) is grown on demand."""
 
     def __init__(self, alphabet: Alphabet, transitions, start: int, accepting):
         self.alphabet = alphabet
         self.transitions = tuple(dict(t) for t in transitions)
         self.start = start
         self.accepting = frozenset(accepting)
-        for t in self.transitions:
-            assert set(t) == set(alphabet.symbols), "automaton must be complete"
+        self._preds: list[set[int]] = [set() for _ in self.transitions]
+        for q, t in enumerate(self.transitions):
+            if t.keys() != set(alphabet.symbols):
+                raise FoldlangError("automaton must be complete")
+            for r in t.values():
+                self._preds[r].add(q)
+        self._within: list[frozenset[int]] = [self.accepting]
 
     @property
     def n_states(self) -> int:
         return len(self.transitions)
-
-    def step(self, state: int, symbol: str) -> int:
-        return self.transitions[state][symbol]
 
     def run(self, w: str) -> list[int]:
         """State sequence visited on w, length |w|+1."""
@@ -247,120 +270,80 @@ class Automaton:
 
     def _live_states(self) -> set[int]:
         """Reachable states from which an accepting state is reachable."""
-        reach = {self.start}
-        frontier = [self.start]
-        while frontier:
-            q = frontier.pop()
-            for r in self.transitions[q].values():
-                if r not in reach:
-                    reach.add(r)
-                    frontier.append(r)
-        rev: dict[int, set[int]] = {q: set() for q in range(self.n_states)}
-        for q, t in enumerate(self.transitions):
-            for r in t.values():
-                rev[r].add(q)
-        co = set(self.accepting)
-        frontier = list(co)
-        while frontier:
-            q = frontier.pop()
-            for r in rev[q]:
-                if r not in co:
-                    co.add(r)
-                    frontier.append(r)
-        return reach & co
+        reach = _closure([self.start], lambda q: self.transitions[q].values())
+        return reach & _closure(self.accepting, self._preds.__getitem__)
 
     def is_infinite(self) -> bool:
-        """True iff the accepted language is infinite (a live state on a cycle)."""
+        """True iff the accepted language is infinite (a live state on a
+        cycle): peeling off live states with no live predecessor left
+        leaves some behind."""
         live = self._live_states()
-        color: dict[int, int] = {}
+        indegree = {q: len(self._preds[q] & live) for q in live}
+        ready = [q for q, d in indegree.items() if d == 0]
+        peeled = 0
+        while ready:
+            peeled += 1
+            for r in set(self.transitions[ready.pop()].values()) & live:
+                indegree[r] -= 1
+                if indegree[r] == 0:
+                    ready.append(r)
+        return peeled < len(live)
 
-        def dfs(q):
-            color[q] = 1
-            for r in self.transitions[q].values():
-                if r not in live:
-                    continue
-                if color.get(r) == 1:
-                    return True
-                if r not in color and dfs(r):
-                    return True
-            color[q] = 2
-            return False
-
-        return any(dfs(q) for q in live if q not in color)
-
-    def _accepting_within(self, max_len: int) -> list[set[int]]:
-        """within[k] = states from which some accepting state is reachable
-        in exactly k steps."""
-        within = [set(self.accepting)]
-        for _ in range(max_len):
-            prev = within[-1]
-            cur = {q for q, t in enumerate(self.transitions)
-                   if any(r in prev for r in t.values())}
-            within.append(cur)
-        return within
+    def within(self, n: int) -> list[frozenset[int]]:
+        """The length table grown to cover n: within[k] holds the states
+        from which some accepting state is reachable in exactly k steps."""
+        table, preds = self._within, self._preds
+        while len(table) <= n:
+            table.append(frozenset().union(*[preds[r] for r in table[-1]]))
+        return table
 
 
 def compile_ast(ast: RegexAst, alphabet: Alphabet) -> Automaton:
-    """Compile an AST to a complete DFA, minimized."""
-    nfa = _Nfa()
-    start, end = _thompson(nfa, ast)
-    start_set = _eps_closure(nfa, frozenset([start]))
-    dfa_index: dict[frozenset[int], int] = {start_set: 0}
-    transitions: list[dict[str, int]] = []
-    order = [start_set]
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        row = {}
-        for sym in alphabet:
-            nxt = set()
-            for q in cur:
-                nxt |= nfa.edges[q].get(sym, set())
-            nxt = _eps_closure(nfa, frozenset(nxt))
-            if nxt not in dfa_index:
-                dfa_index[nxt] = len(order)
+    """Compile an AST to a complete DFA, minimized: subset construction
+    over the position automaton, each state's follow positions bucketed by
+    symbol."""
+    sym, follow, finals = _positions(ast, alphabet)
+    start = frozenset([0])
+    index = {start: 0}
+    order = [start]
+    columns: list[list[int]] = [[] for _ in alphabet.symbols]
+    for cur in order:  # breadth-first: order grows while it is walked
+        buckets: list[list[int]] = [[] for _ in columns]
+        for p in cur:
+            for q in follow[p]:
+                buckets[sym[q]].append(q)
+        for column, bucket in zip(columns, buckets):
+            nxt = frozenset(bucket)
+            if nxt not in index:
+                index[nxt] = len(order)
                 order.append(nxt)
-            row[sym] = dfa_index[nxt]
-        transitions.append(row)
-        i += 1
-    accepting = {dfa_index[s] for s in order if end in s}
-    dfa = Automaton(alphabet, transitions, 0, accepting)
-    return _minimize(dfa)
+            column.append(index[nxt])
+    accepting = [not s.isdisjoint(finals) for s in order]
+    return _minimize(alphabet, columns, accepting)
 
 
-def _minimize(dfa: Automaton) -> Automaton:
-    """Moore partition refinement; keeps the automaton complete."""
-    n = dfa.n_states
-    # restrict to reachable states first
-    reach = [dfa.start]
-    seen = {dfa.start}
-    for q in reach:
-        for r in dfa.transitions[q].values():
-            if r not in seen:
-                seen.add(r)
-                reach.append(r)
-    states = reach
-    block = {q: (q in dfa.accepting) for q in states}
+def _minimize(alphabet: Alphabet, columns: list[list[int]], accepting: list[bool]) -> Automaton:
+    """Moore partition refinement over per-symbol target columns
+    (columns[k][q] is q's successor on the k-th symbol); keeps the
+    automaton complete.  The states must be numbered breadth-first from
+    start 0: blocks are numbered by their first state, so the result is
+    numbered breadth-first as well."""
+    block = accepting
+    count = len(set(block))
     while True:
-        sig = {q: (block[q],) + tuple(block[dfa.transitions[q][s]] for s in dfa.alphabet)
-               for q in states}
         classes: dict[tuple, int] = {}
-        new_block = {}
-        for q in states:
-            new_block[q] = classes.setdefault(sig[q], len(classes))
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
+        block = [classes.setdefault(sig, len(classes))
+                 for sig in zip(block, *([block[r] for r in col] for col in columns))]
+        if len(classes) == count:
             break
-        block = new_block
-    n_blocks = len(set(block.values()))
-    transitions = [dict() for _ in range(n_blocks)]
-    accepting = set()
-    for q in states:
-        b = block[q]
-        transitions[b] = {s: block[dfa.transitions[q][s]] for s in dfa.alphabet}
-        if q in dfa.accepting:
-            accepting.add(b)
-    return Automaton(dfa.alphabet, transitions, block[dfa.start], accepting)
+        count = len(classes)
+    first_state: dict[int, int] = {}
+    for q, b in enumerate(block):
+        first_state.setdefault(b, q)
+    transitions = [{s: block[col[q]] for s, col in zip(alphabet.symbols, columns)}
+                   for q in first_state.values()]
+    return Automaton(alphabet, transitions, 0,
+                     {b for b, acc in zip(block, accepting) if acc})
 
 
 # ---------------------------------------------------------------------------
@@ -373,55 +356,50 @@ def member(auto: Automaton, w: str) -> bool:
 def enumerate_length(auto: Automaton, n: int) -> list[str]:
     """All accepted strings of length n, lexicographic by alphabet order.
 
-    Descends transitions, pruning prefixes that cannot reach an accepting
-    state in the remaining number of steps.
-    """
+    Depth-first with an explicit stack, pruning prefixes that cannot
+    reach an accepting state in the remaining number of steps."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    within = auto._accepting_within(n)
+    within = auto.within(n)
+    if auto.start not in within[n]:
+        return []
+    if n == 0:
+        return [""]
+    symbols = auto.alphabet.symbols
+    backwards = symbols[::-1]  # popped in alphabet order
+    transitions, accepting = auto.transitions, auto.accepting
     out: list[str] = []
-    prefix: list[str] = []
-
-    def descend(q, remaining):
-        if remaining == 0:
-            if q in auto.accepting:
-                out.append("".join(prefix))
-            return
-        for sym in auto.alphabet:
-            r = auto.transitions[q][sym]
-            if r in within[remaining - 1]:
-                prefix.append(sym)
-                descend(r, remaining - 1)
-                prefix.pop()
-
-    descend(auto.start, n)
+    stack = [("", auto.start)]
+    while stack:
+        prefix, q = stack.pop()
+        row = transitions[q]
+        remaining = n - len(prefix) - 1
+        if remaining:
+            live = within[remaining]
+            for s in backwards:
+                if row[s] in live:
+                    stack.append((prefix + s, row[s]))
+        else:
+            out.extend(prefix + s for s in symbols if row[s] in accepting)
     return out
 
 
 def has_length(auto: Automaton, n: int) -> bool:
     """True iff the language contains a string of length n."""
-    cur = {auto.start}
-    for _ in range(n):
-        cur = {auto.transitions[q][s] for q in cur for s in auto.alphabet}
-    return bool(cur & auto.accepting)
+    return n >= 0 and auto.start in auto.within(n)[n]
 
 
 def smallest_of_length(auto: Automaton, n: int) -> str | None:
     """Lexicographically smallest accepted string of length n, or None."""
-    within = auto._accepting_within(n)
-    word = []
-    q = auto.start
-    if q not in within[n]:
+    if not has_length(auto, n):
         return None
-    for remaining in range(n, 0, -1):
-        for sym in auto.alphabet:
-            r = auto.transitions[q][sym]
-            if r in within[remaining - 1]:
-                word.append(sym)
-                q = r
-                break
-        else:
-            return None
+    within = auto.within(n)
+    q = auto.start
+    word = []
+    for remaining in range(n - 1, -1, -1):
+        q, s = next((auto.transitions[q][s], s) for s in auto.alphabet
+                    if auto.transitions[q][s] in within[remaining])
+        word.append(s)
     return "".join(word)
 
 
@@ -461,7 +439,7 @@ def reg_decompose(auto: Automaton, w: str) -> RegDecomposition:
             i, j = first_seen[q], idx
             return RegDecomposition(w[:i], w[i:j], w[j:])
         first_seen[q] = idx
-    raise AssertionError("no repeated state within pumping length")  # unreachable
+    raise FoldlangError("no repeated state within the pumping length")
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,13 @@ def test_length_queries_need_no_recursion():
     assert not ContextFreeLang("S -> a S b | eps", AB).has_length(2999)
 
 
+def test_decompose_needs_no_recursion():
+    lang = ContextFreeLang("S -> a S | a", AB)
+    d = lang.decompose("a" * 1500)
+    assert d.whole == "a" * 1500 and d.v + d.y
+    assert lang.member(d.pumped(0)) and lang.member(d.pumped(2))
+
+
 def test_cyk_long_input():
     lang = ContextFreeLang(ANBN, AB)
     assert lang.member("a" * 150 + "b" * 150)

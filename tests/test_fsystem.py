@@ -32,6 +32,30 @@ def test_enumeration_with_witnesses():
         assert BB_FRONT.core.member(r) and BB_FRONT.proc.member(s)
 
 
+def pairwise_witnesses(phi, max_len):
+    """The first (r, s) folding to each member, one fold per pair."""
+    witnesses = {}
+    for n in range(max_len + 1):
+        for r in phi.core.enumerate_length(n):
+            for s in phi.proc.enumerate_length(n):
+                witnesses.setdefault(fold(r, s), (r, s))
+    return witnesses
+
+
+@pytest.mark.parametrize("core,proc", [
+    ("aaaab*", "(uu)*ddd"),
+    ("(a|b)*", "(u|d)*"),
+    ("a?b*", "d|ud*"),
+    ("S -> a S b | eps", "(ud)*"),
+    ("(ab)*|b", "S -> u S d S | eps"),
+    ("S -> a S b S | b | eps", "S -> u S d | d | eps"),
+])
+def test_gathered_enumeration_matches_pairwise_folds(core, proc):
+    phi = system(core, proc)
+    got = fs_enumerate(phi, 9, with_witnesses=True)
+    assert list(got.items()) == list(pairwise_witnesses(phi, 9).items())
+
+
 def test_membership():
     assert fs_member(BB_FRONT, "bbaaaabbb")
     assert not fs_member(BB_FRONT, "ababababa")

@@ -4,16 +4,18 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foldlang import Alphabet, RegularLang, parse_regex
-from foldlang.errors import DecompositionError, RegexSyntaxError
-from foldlang.regular import (Concat, Epsilon, Literal, Star, Union,
-                              literal_word)
+from foldlang.errors import DecompositionError, FoldlangError, RegexSyntaxError
+from foldlang.regular import (Automaton, Concat, Empty, Epsilon, Literal,
+                              Optional, Plus, Star, Union, literal_word)
 
 from conftest import AB, random_word
 from regex_oracle import match_backtrack
 
 UD = Alphabet("ud")
+BA = Alphabet("ba")
 
 FIXTURES = [
     ("aaaab*", AB, "aaaab*"),
@@ -96,6 +98,38 @@ def test_enumerate_length_matches_filter(pattern, alphabet, pyre):
             assert smallest is None
 
 
+def _nary(node_type, children):
+    return st.lists(children, max_size=3).map(lambda parts: node_type(tuple(parts)))
+
+
+#: Regex ASTs over {a, b}: the empty language, the empty word, nested
+#: postfix operators, and unions and concatenations of 0-3 parts.
+REGEX_ASTS = st.recursive(
+    st.sampled_from([Empty(), Epsilon(), Literal("a"), Literal("b")]),
+    lambda children: st.one_of(
+        st.builds(Star, children), st.builds(Plus, children),
+        st.builds(Optional, children),
+        _nary(Union, children), _nary(Concat, children)),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REGEX_ASTS)
+def test_position_automaton_matches_oracles(ast):
+    lang = RegularLang.from_ast(ast, AB)
+    reversed_order = RegularLang.from_ast(ast, BA)
+    # out of order, so the length table is read both grown and growing
+    for n in (6, 0, 3, 1, 5, 2, 4):
+        words = list(brute_words(AB, n))
+        expect = [w for w in words if match_backtrack(ast, w)]
+        assert [w for w in words if lang.member(w)] == expect
+        assert list(lang.enumerate_length(n)) == expect
+        assert list(reversed_order.enumerate_length(n)) == sorted(expect, key=BA.sort_key)
+        assert lang.has_length(n) == reversed_order.has_length(n) == bool(expect)
+        assert lang.smallest_of_length(n) == (expect[0] if expect else None)
+        assert reversed_order.smallest_of_length(n) == min(expect, key=BA.sort_key, default=None)
+
+
 def test_enumeration_respects_declared_symbol_order():
     lang = RegularLang("(a|b)(a|b)", Alphabet("ba"))
     assert list(lang.enumerate_length(2)) == ["bb", "ba", "ab", "aa"]
@@ -137,6 +171,27 @@ def test_decompose_rejects_short_or_foreign_strings():
         lang.decompose("aaaab")  # shorter than the pumping length
     with pytest.raises(DecompositionError):
         lang.decompose("bbbbbbbb")  # not in the language
+
+
+def test_long_enumeration_needs_no_recursion():
+    assert RegularLang("a*", AB).enumerate_length(3000) == ("a" * 3000,)
+
+
+def test_deep_ast_compiles_without_recursion():
+    ast = Literal("a")
+    for _ in range(3000):
+        ast = Star(ast)
+    deep = RegularLang.from_ast(ast, AB)
+    assert deep.member("a" * 5) and not deep.member("ab")
+
+
+def test_long_regex_finiteness_needs_no_recursion():
+    assert not RegularLang("a" * 1200, AB).is_infinite()
+
+
+def test_incomplete_automaton_is_rejected():
+    with pytest.raises(FoldlangError, match="complete"):
+        Automaton(AB, [{"a": 0}], 0, [0])
 
 
 def test_is_infinite():
