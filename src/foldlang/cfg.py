@@ -1,9 +1,11 @@
 """Context-free engine.
 
-Grammars are parsed from a line-oriented syntax, converted to a binary
-normal form (A -> BC / A -> a, plus a start-epsilon flag), and queried
-through CYK membership, per-length enumeration, and the context-free
-pumping-lemma decomposition taken from a deterministic parse tree.
+`ContextFreeLang` is the context-free implementation of the Language
+protocol (`foldlang.fsystem.Language`): it holds the query code itself.
+Grammars are parsed from a line-oriented syntax and converted to a binary
+normal form (A -> BC / A -> a, plus a start-epsilon flag).  Membership is
+CYK, enumeration is per length, and the pumping decomposition is taken
+from a deterministic parse tree.
 
 Each normal form grammar holds one length table (`LengthTable`): bit l of
 `bits[A]` is set iff A derives a string of length l, and `lists[A]` holds
@@ -112,9 +114,6 @@ class NormalFormGrammar:
 
     def __post_init__(self):
         self.lengths = LengthTable(self)
-
-    def n_nonterminals(self) -> int:
-        return len(self.nonterminals)
 
 
 class LengthTable:
@@ -347,100 +346,8 @@ def _cyk_masks(nf: NormalFormGrammar, w: str) -> dict[tuple[str, int], int]:
     return masks
 
 
-def cyk_member(nf: NormalFormGrammar, w: str) -> bool:
-    if w == "":
-        return nf.start_epsilon
-    for ch in w:
-        if ch not in nf.terminals:
-            return False
-    masks = _cyk_masks(nf, w)
-    return bool(masks[(nf.start, len(w))] & 1)
-
-
-# ---------------------------------------------------------------------------
-# Enumeration
-
-class _Enumerator:
-    """Per-(nonterminal, length) results, memoised. Below the queried root
-    only splits from the length table are visited, so every entry there is
-    non-empty."""
-
-    def __init__(self, nf: NormalFormGrammar):
-        self.nf = nf
-        self.cache: dict[tuple[str, int], tuple[str, ...]] = {}
-        self.least: dict[tuple[str, int], str] = {}
-
-    def strings(self, a: str, n: int) -> tuple[str, ...]:
-        key = self.nf.terminals.sort_key
-
-        def join(pairs):
-            if len(pairs) == 1:
-                # fixed-length halves: the products are sorted and distinct
-                xs, ys = pairs[0]
-                return tuple(x + y for x in xs for y in ys)
-            return tuple(sorted({x + y for xs, ys in pairs for x in xs for y in ys},
-                                key=key))
-
-        return self._solve(self.cache, a, n,
-                           lambda terms: tuple(sorted(terms, key=key)), join)
-
-    def smallest(self, a: str, n: int) -> str:
-        """Lexicographically smallest string of length n derived from a
-        (n must be in L(a)). Exact because all candidates per split have
-        equal length."""
-        key = self.nf.terminals.sort_key
-
-        def join(pairs):
-            cands = [x + y for x, y in pairs]
-            return cands[0] if len(cands) == 1 else min(cands, key=key)
-
-        return self._solve(self.least, a, n, lambda terms: min(terms, key=key), join)
-
-    def _solve(self, memo, a, n, leaf, join):
-        """memo[(a, n)], filling every entry it needs children first, with
-        an explicit stack. leaf gets A's terminals, join the (B, C) results
-        of every split of every A -> B C."""
-        nf = self.nf
-        table = nf.lengths.upto(n)
-        stack = [(a, n)]
-        while stack:
-            node = stack[-1]
-            if node in memo:
-                stack.pop()
-                continue
-            x, l = node
-            if l == 1:
-                memo[node] = leaf(nf.term_prods[x])
-                stack.pop()
-                continue
-            parts = [((b, s), (c, l - s)) for b, c in nf.bin_prods[x]
-                     for s in table.splits(b, c, l)]
-            todo = [k for part in parts for k in part if k not in memo]
-            if todo:
-                stack.extend(todo)
-                continue
-            memo[node] = join([(memo[p], memo[q]) for p, q in parts])
-            stack.pop()
-        return memo[(a, n)]
-
-
-def enumerate_length(nf: NormalFormGrammar, n: int, _enum: _Enumerator | None = None) -> list[str]:
-    """All length-n members, lexicographic by alphabet order."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return [""] if nf.start_epsilon else []
-    enum = _enum or _Enumerator(nf)
-    return list(enum.strings(nf.start, n))
-
-
 # ---------------------------------------------------------------------------
 # Pumping decomposition
-
-def cfg_pumping_length(nf: NormalFormGrammar) -> int:
-    """2^(k+1) for k nonterminals, a valid pumping length."""
-    return 2 ** (nf.n_nonterminals() + 1)
-
 
 @dataclass(frozen=True)
 class CfgDecomposition:
@@ -453,6 +360,12 @@ class CfgDecomposition:
     x: str
     y: str
     z: str
+
+    @property
+    def pieces(self) -> tuple[str, str, str, str, str]:
+        """(u, v, x, y, z): fixed and pump pieces alternating, pump at odd
+        indices."""
+        return self.u, self.v, self.x, self.y, self.z
 
     @property
     def whole(self) -> str:
@@ -500,73 +413,49 @@ def _longest_path(nodes: list[_Node]) -> list[_Node]:
     return path
 
 
-def cfg_decompose(nf: NormalFormGrammar, w: str) -> CfgDecomposition:
-    """Decompose via the lowest repeated-nonterminal pair on the longest
-    root-to-leaf path of a deterministic parse tree."""
-    masks = _cyk_masks(nf, w)
-    if not (masks[(nf.start, len(w))] & 1 if w else nf.start_epsilon):
-        raise DecompositionError(f"{w!r} is not a member")
-    p = cfg_pumping_length(nf)
-    if len(w) < p:
-        raise DecompositionError(f"|w|={len(w)} < pumping length {p}")
-    path = _longest_path(_build_tree(nf, masks, w))
-    k = nf.n_nonterminals()
-    tail = path[-(k + 1):]
-    seen: dict[str, _Node] = {}
-    upper = lower = None
-    for node in reversed(tail):
-        if node.nt in seen:
-            upper, lower = node, seen[node.nt]
-            break
-        seen[node.nt] = node
-    if upper is None:
-        raise FoldlangError("no repeated nonterminal on the longest path")
-    u = w[:upper.start]
-    v = w[upper.start:lower.start]
-    x = w[lower.start:lower.start + lower.length]
-    y = w[lower.start + lower.length:upper.start + upper.length]
-    z = w[upper.start + upper.length:]
-    return CfgDecomposition(u, v, x, y, z)
-
-
-def is_infinite(nf: NormalFormGrammar) -> bool:
-    """Infinite iff the binary-production digraph over useful nonterminals
-    has a cycle (each binary node adds at least one terminal elsewhere)."""
-    if nf.start not in nf.bin_prods:
-        return False
-    edges = {a: {b for bc in nf.bin_prods[a] for b in bc} for a in nf.nonterminals}
-    color: dict[str, int] = {}
-
-    def dfs(a):
-        color[a] = 1
-        for b in edges.get(a, ()):
-            if color.get(b) == 1:
-                return True
-            if b not in color and dfs(b):
-                return True
-        color[a] = 2
-        return False
-
-    return any(dfs(a) for a in nf.nonterminals if a not in color)
-
-
 # ---------------------------------------------------------------------------
-# Language facade
+# The language
 
 class ContextFreeLang:
-    """A context-free language: grammar text, normalized once."""
+    """A context-free language: grammar text, normalized once.  Strings
+    and smallest strings are memoised per (nonterminal, length); only
+    splits from the length table are visited, so every entry below the
+    queried root is non-empty."""
+
+    context_free = True
 
     def __init__(self, grammar_text: str, alphabet: Alphabet | None = None):
         self.grammar = parse_grammar(grammar_text, alphabet)
         self.alphabet = self.grammar.terminals
         self.normal_form = to_normal_form(self.grammar)
-        self._enum = _Enumerator(self.normal_form)
+        self._strings: dict[tuple[str, int], tuple[str, ...]] = {}
+        self._least: dict[tuple[str, int], str] = {}
 
     def member(self, w: str) -> bool:
-        return cyk_member(self.normal_form, w)
+        nf = self.normal_form
+        if not w:
+            return nf.start_epsilon
+        if not all(ch in nf.terminals for ch in w):
+            return False
+        return bool(_cyk_masks(nf, w)[(nf.start, len(w))] & 1)
 
     def enumerate_length(self, n: int) -> tuple[str, ...]:
-        return tuple(enumerate_length(self.normal_form, n, self._enum))
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if n == 0:
+            return ("",) if self.normal_form.start_epsilon else ()
+        key = self.alphabet.sort_key
+
+        def join(pairs):
+            if len(pairs) == 1:
+                # fixed-length halves: the products are sorted and distinct
+                xs, ys = pairs[0]
+                return tuple(x + y for x in xs for y in ys)
+            return tuple(sorted({x + y for xs, ys in pairs for x in xs for y in ys},
+                                key=key))
+
+        return self._solve(self._strings, n,
+                           lambda terms: tuple(sorted(terms, key=key)), join)
 
     def has_length(self, n: int) -> bool:
         nf = self.normal_form
@@ -575,20 +464,99 @@ class ContextFreeLang:
         return bool(nf.lengths.upto(n).bits[nf.start] >> n & 1)
 
     def smallest_of_length(self, n: int) -> str | None:
+        """Exact because all candidates per split have equal length."""
         if n == 0:
             return "" if self.normal_form.start_epsilon else None
         if not self.has_length(n):
             return None
-        return self._enum.smallest(self.normal_form.start, n)
+        key = self.alphabet.sort_key
+
+        def join(pairs):
+            cands = [x + y for x, y in pairs]
+            return cands[0] if len(cands) == 1 else min(cands, key=key)
+
+        return self._solve(self._least, n, lambda terms: min(terms, key=key), join)
+
+    def _solve(self, memo, n, leaf, join):
+        """memo[(start, n)], filling every entry it needs children first,
+        with an explicit stack.  leaf gets A's terminals, join the (B, C)
+        results of every split of every A -> B C."""
+        nf = self.normal_form
+        table = nf.lengths.upto(n)
+        stack = [(nf.start, n)]
+        while stack:
+            node = stack[-1]
+            if node in memo:
+                stack.pop()
+                continue
+            x, l = node
+            if l == 1:
+                memo[node] = leaf(nf.term_prods[x])
+                stack.pop()
+                continue
+            parts = [((b, s), (c, l - s)) for b, c in nf.bin_prods[x]
+                     for s in table.splits(b, c, l)]
+            todo = [k for part in parts for k in part if k not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            memo[node] = join([(memo[p], memo[q]) for p, q in parts])
+            stack.pop()
+        return memo[(nf.start, n)]
 
     def pumping_length(self) -> int:
-        return cfg_pumping_length(self.normal_form)
+        """2^(k+1) for k nonterminals of the normal form."""
+        return 2 ** (len(self.normal_form.nonterminals) + 1)
 
     def decompose(self, w: str) -> CfgDecomposition:
-        return cfg_decompose(self.normal_form, w)
+        """Decompose via the lowest repeated-nonterminal pair on the longest
+        root-to-leaf path of a deterministic parse tree."""
+        nf = self.normal_form
+        masks = _cyk_masks(nf, w)
+        if not (masks[(nf.start, len(w))] & 1 if w else nf.start_epsilon):
+            raise DecompositionError(f"{w!r} is not a member")
+        p = self.pumping_length()
+        if len(w) < p:
+            raise DecompositionError(f"|w|={len(w)} < pumping length {p}")
+        path = _longest_path(_build_tree(nf, masks, w))
+        tail = path[-(len(nf.nonterminals) + 1):]
+        seen: dict[str, _Node] = {}
+        upper = lower = None
+        for node in reversed(tail):
+            if node.nt in seen:
+                upper, lower = node, seen[node.nt]
+                break
+            seen[node.nt] = node
+        if upper is None:
+            raise FoldlangError("no repeated nonterminal on the longest path")
+        u = w[:upper.start]
+        v = w[upper.start:lower.start]
+        x = w[lower.start:lower.start + lower.length]
+        y = w[lower.start + lower.length:upper.start + upper.length]
+        z = w[upper.start + upper.length:]
+        return CfgDecomposition(u, v, x, y, z)
 
     def is_infinite(self) -> bool:
-        return is_infinite(self.normal_form)
+        """Infinite iff the digraph of A -> B C edges has a cycle: every
+        nonterminal of the normal form is useful, and each binary step
+        derives at least one terminal beside the repeated nonterminal.
+        Peeling nodes with no unpeeled predecessor (Kahn) leaves some
+        behind exactly when there is a cycle."""
+        succ = {a: {x for bc in alts for x in bc}
+                for a, alts in self.normal_form.bin_prods.items()}
+        indegree = dict.fromkeys(succ, 0)
+        for targets in succ.values():
+            for b in targets:
+                indegree[b] += 1
+        ready = [a for a, d in indegree.items() if d == 0]
+        peeled = 0
+        while ready:
+            peeled += 1
+            for b in succ[ready.pop()]:
+                indegree[b] -= 1
+                if indegree[b] == 0:
+                    ready.append(b)
+        return peeled < len(succ)
 
     def __repr__(self):
         return f"ContextFreeLang(start={self.grammar.start!r})"

@@ -36,6 +36,13 @@ def render_trace(trace) -> str:
     return "\n".join(lines)
 
 
+def _count(text: str) -> int:
+    """argparse type of --max-len, --imax and --bound: an int >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an int >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="foldlang",
                                      description="String folding systems toolkit")
@@ -48,7 +55,7 @@ def _build_parser():
 
     p = sub.add_parser("enum", help="enumerate L(Phi) up to a length")
     p.add_argument("spec")
-    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
+    p.add_argument("--max-len", type=_count, default=DEFAULT_MAX_LEN)
 
     p = sub.add_parser("member", help="decide membership in L(Phi)")
     p.add_argument("spec")
@@ -56,19 +63,19 @@ def _build_parser():
 
     p = sub.add_parser("pump", help="build and verify a pump family")
     p.add_argument("spec")
-    p.add_argument("--imax", type=int, default=DEFAULT_IMAX)
+    p.add_argument("--imax", type=_count, default=DEFAULT_IMAX)
     p.add_argument("--json", action="store_true", dest="json_out")
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="verify a pump family against a spec")
     p.add_argument("spec")
     p.add_argument("--family", required=True)
-    p.add_argument("--imax", type=int, default=DEFAULT_IMAX)
+    p.add_argument("--imax", type=_count, default=DEFAULT_IMAX)
 
     p = sub.add_parser("refute-unary", help="find a pumping witness leaving a unary language")
     p.add_argument("--predicate", required=True, choices=sorted(PREDICATES))
     p.add_argument("--family", required=True)
-    p.add_argument("--bound", type=int, default=64)
+    p.add_argument("--bound", type=_count, default=64)
 
     return parser
 
@@ -164,7 +171,7 @@ def _dispatch(args) -> int:
               f"fails predicate {args.predicate!r}")
         return 0
 
-    raise AssertionError(args.command)
+    raise FoldlangError(f"unknown command {args.command!r}")
 
 
 def main() -> None:

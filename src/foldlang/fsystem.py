@@ -2,19 +2,22 @@
 
 An F-system pairs a core language over Sigma with a folding-procedure
 language over {u, d}; its language is every fold of an equal-length
-pair.  Everything here is decided by exhaustive pairing per length,
-which is exponential but exact at desk scale.
+pair.  Each component is seen only through the `Language` protocol,
+which the regular and the context-free engine both implement.
+Everything here is decided by exhaustive pairing per length, which is
+exponential but exact at desk scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import ClassVar, Protocol
 
-from .cfg import ContextFreeLang
+from .cfg import CfgDecomposition, ContextFreeLang
 from .errors import AlphabetError, NoEqualLengthPair, ResourceLimit, SpecFileError
 from .folding import PROC_ALPHABET, Alphabet, fold, fold_permutation
-from .regular import RegularLang
+from .regular import RegDecomposition, RegularLang
 
 #: Per-length candidate-pair cap for the exhaustive oracle.
 DEFAULT_PAIR_CAP = 500_000
@@ -22,15 +25,52 @@ DEFAULT_PAIR_CAP = 500_000
 #: Search ceiling above min_len when looking for an equal-length pair.
 DEFAULT_LENGTH_CEILING = 512
 
-LanguageSpec = RegularLang | ContextFreeLang
+
+class Language(Protocol):
+    """What the F-system, pumping and CLI code asks of a component
+    language.  RegularLang and ContextFreeLang implement it, and callers
+    tell them apart only through `context_free`."""
+
+    #: True for a context-free engine, False for a regular one; it picks
+    #: the pumping lemma and the decomposition shape.
+    context_free: ClassVar[bool]
+    alphabet: Alphabet
+
+    def member(self, w: str) -> bool:
+        """Whether w is in the language; False when w has a symbol
+        outside the alphabet."""
+
+    def enumerate_length(self, n: int) -> tuple[str, ...]:
+        """Every member of length n, lexicographic by alphabet order;
+        ValueError when n < 0."""
+
+    def has_length(self, n: int) -> bool:
+        """Whether some member has length n; False when n < 0."""
+
+    def smallest_of_length(self, n: int) -> str | None:
+        """Lexicographically smallest member of length n, or None when
+        there is none (also when n < 0)."""
+
+    def pumping_length(self) -> int:
+        """A p such that every member of length >= p decomposes."""
+
+    def decompose(self, w: str) -> RegDecomposition | CfgDecomposition:
+        """A pumping decomposition of w, deterministic for a given w: its
+        `pieces` alternate fixed and pump pieces, (x, y, z) for a regular
+        language and (u, v, x, y, z) for a context-free one.
+        DecompositionError when w is not a member (a foreign symbol
+        included) or |w| < pumping_length()."""
+
+    def is_infinite(self) -> bool:
+        """Whether the language has infinitely many members."""
 
 
 @dataclass
 class FSystem:
     """Pair (core language over Sigma, procedure language over {u, d})."""
 
-    core: LanguageSpec
-    proc: LanguageSpec
+    core: Language
+    proc: Language
 
     def __post_init__(self):
         if self.proc.alphabet != PROC_ALPHABET:

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .cfg import CfgDecomposition, ContextFreeLang
+from .cfg import CfgDecomposition
 from .errors import CaseValidationFailed, FiniteComponent, FoldlangError
 from .folding import split_updown
 from .fsystem import FSystem, equal_length_pair, fs_member
@@ -163,7 +163,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
+        """True iff there was at least one check and every check passed."""
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
     def summary(self) -> str:
         lines = [f"{c.kind} {c.index}: {'PASS' if c.ok else 'FAIL'} ({c.detail})"
@@ -242,8 +243,7 @@ _LEMMAS = {
 
 
 def _lemma_of(phi: FSystem) -> str:
-    return _LEMMAS[isinstance(phi.core, ContextFreeLang),
-                   isinstance(phi.proc, ContextFreeLang)]
+    return _LEMMAS[phi.core.context_free, phi.proc.context_free]
 
 
 def lemma1_plan(phi: FSystem) -> StrandPlan:
@@ -323,16 +323,16 @@ def _plan(phi: FSystem, lemma: str) -> StrandPlan:
 
 def _pieces(d: RegDecomposition | CfgDecomposition,
             merge_empty: bool) -> tuple[str, ...]:
-    """Fixed and pump pieces of a decomposition, alternating, fixed first:
-    (x, y, z) or (u, v, x, y, z).  With merge_empty an empty pump piece is
-    folded into its fixed neighbours, leaving (u x, y, z) or (u, v, x z)."""
-    if isinstance(d, RegDecomposition):
-        return d.x, d.y, d.z
-    if merge_empty and not d.v:
-        return d.u + d.x, d.y, d.z
-    if merge_empty and not d.y:
-        return d.u, d.v, d.x + d.z
-    return d.u, d.v, d.x, d.y, d.z
+    """d.pieces: fixed and pump pieces alternating, fixed first.  With
+    merge_empty (CF/CF) an empty pump piece of (u, v, x, y, z) is folded
+    into its fixed neighbours, leaving (u x, y, z) or (u, v, x z)."""
+    if merge_empty:
+        u, v, x, y, z = d.pieces
+        if not v:
+            return u + x, y, z
+        if not y:
+            return u, v, x + z
+    return d.pieces
 
 
 def _strand(pieces: tuple[str, ...], mult: int) -> tuple:

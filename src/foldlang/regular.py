@@ -1,17 +1,19 @@
 """Regular-language engine.
 
-Regexes are parsed to an AST and compiled to a minimal complete DFA.  The
-compile builds the Glushkov position automaton (one position per literal,
-no epsilon edges), runs the subset construction over it with each state's
-follow positions bucketed by symbol, and minimizes by Moore refinement
-over per-symbol target columns.  The automaton supports membership,
-per-length enumeration, and the regular pumping-lemma decomposition
-(first repeated state along the run).
+`RegularLang` is the regular implementation of the Language protocol
+(`foldlang.fsystem.Language`): it holds the query code itself, and
+`Automaton` is only the DFA it runs on.  Regexes are parsed to an AST and
+compiled to a minimal complete DFA.  The compile builds the Glushkov
+position automaton (one position per literal, no epsilon edges), runs the
+subset construction over it with each state's follow positions bucketed
+by symbol, and minimizes by Moore refinement over per-symbol target
+columns.  The pumping decomposition is taken at the first repeated state
+along the run.
 
 Each automaton keeps one length table, grown on demand: within[k] holds
 the states from which an accepting state is reachable in exactly k steps.
-Enumeration, `has_length` and `smallest_of_length` read it.  Nothing after
-parsing recurses: the compile, the enumeration and `is_infinite` use
+Enumeration, `has_length` and `smallest_of_length` read it.  Nothing
+recurses: the parser, the compile, the enumeration and `is_infinite` use
 explicit stacks or worklists.
 
 Concrete regex syntax: single-character literals, `|` union (lowest
@@ -80,77 +82,60 @@ POSTFIX = {"*": Star, "+": Plus, "?": Optional}
 
 
 def parse_regex(text: str, alphabet: Alphabet) -> RegexAst:
-    """Recursive-descent parser for the concrete syntax above."""
+    """Parser for the concrete syntax above.  Open groups live on an
+    explicit stack, so nesting depth is not bounded by recursion."""
+    # the open groups, the whole regex first: each a list of alternatives,
+    # each alternative a list of parts
+    groups: list[list[list[RegexAst]]] = [[[]]]
     pos = 0
-
-    def peek():
-        return text[pos] if pos < len(text) else None
-
-    def parse_union():
-        nonlocal pos
-        parts = [parse_concat()]
-        while peek() == "|":
+    while pos < len(text):
+        ch = text[pos]
+        pos += 1
+        if ch == "|":
+            groups[-1].append([])
+            continue
+        if ch == "(" and text[pos:pos + 1] != ")":
+            groups.append([[]])
+            continue
+        if ch == "(":
+            node = Epsilon()
             pos += 1
-            parts.append(parse_concat())
-        return parts[0] if len(parts) == 1 else Union(tuple(parts))
-
-    def parse_concat():
-        parts = []
-        while peek() is not None and peek() not in "|)":
-            parts.append(parse_postfix())
-        if not parts:
-            return Epsilon()
-        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
-
-    def parse_postfix():
-        nonlocal pos
-        node = parse_atom()
-        while peek() in POSTFIX:
+        elif ch == ")" and len(groups) > 1:
+            node = _alternation(groups.pop())
+        elif ch == "[":
+            if text[pos:pos + 1] != "]":
+                raise RegexSyntaxError("expected ']'", pos)
+            node = Empty()
+            pos += 1
+        elif ch in "*+?|)]":
+            raise RegexSyntaxError(f"unexpected {ch!r}", pos - 1)
+        elif ch not in alphabet:
+            raise RegexSyntaxError(f"unknown symbol {ch!r}", pos - 1)
+        else:
+            node = Literal(ch)
+        while pos < len(text) and text[pos] in POSTFIX:
             node = POSTFIX[text[pos]](node)
             pos += 1
-        return node
+        groups[-1][-1].append(node)
+    if len(groups) > 1:
+        raise RegexSyntaxError("expected ')'", pos)
+    return _alternation(groups[0])
 
-    def parse_atom():
-        nonlocal pos
-        ch = peek()
-        if ch is None:
-            raise RegexSyntaxError("unexpected end of regex", pos)
-        if ch == "(":
-            pos += 1
-            if peek() == ")":
-                pos += 1
-                return Epsilon()
-            node = parse_union()
-            if peek() != ")":
-                raise RegexSyntaxError("expected ')'", pos)
-            pos += 1
-            return node
-        if ch == "[":
-            pos += 1
-            if peek() != "]":
-                raise RegexSyntaxError("expected ']'", pos)
-            pos += 1
-            return Empty()
-        if ch in "*+?|)]":
-            raise RegexSyntaxError(f"unexpected {ch!r}", pos)
-        if ch not in alphabet:
-            raise RegexSyntaxError(f"unknown symbol {ch!r}", pos)
-        pos += 1
-        return Literal(ch)
 
-    node = parse_union()
-    if pos != len(text):
-        raise RegexSyntaxError(f"unexpected {text[pos]!r}", pos)
-    return node
+def _concat(parts: list[RegexAst]) -> RegexAst:
+    if not parts:
+        return Epsilon()
+    return parts[0] if len(parts) == 1 else Concat(tuple(parts))
+
+
+def _alternation(alts: list[list[RegexAst]]) -> RegexAst:
+    nodes = [_concat(parts) for parts in alts]
+    return nodes[0] if len(nodes) == 1 else Union(tuple(nodes))
 
 
 def literal_word(word: str) -> RegexAst:
     """AST matching exactly the given word (no parsing involved)."""
-    if not word:
-        return Epsilon()
-    if len(word) == 1:
-        return Literal(word)
-    return Concat(tuple(Literal(ch) for ch in word))
+    return _concat([Literal(ch) for ch in word])
 
 
 # ---------------------------------------------------------------------------
@@ -347,66 +332,7 @@ def _minimize(alphabet: Alphabet, columns: list[list[int]], accepting: list[bool
 
 
 # ---------------------------------------------------------------------------
-# Queries
-
-def member(auto: Automaton, w: str) -> bool:
-    return auto.run(w)[-1] in auto.accepting
-
-
-def enumerate_length(auto: Automaton, n: int) -> list[str]:
-    """All accepted strings of length n, lexicographic by alphabet order.
-
-    Depth-first with an explicit stack, pruning prefixes that cannot
-    reach an accepting state in the remaining number of steps."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    within = auto.within(n)
-    if auto.start not in within[n]:
-        return []
-    if n == 0:
-        return [""]
-    symbols = auto.alphabet.symbols
-    backwards = symbols[::-1]  # popped in alphabet order
-    transitions, accepting = auto.transitions, auto.accepting
-    out: list[str] = []
-    stack = [("", auto.start)]
-    while stack:
-        prefix, q = stack.pop()
-        row = transitions[q]
-        remaining = n - len(prefix) - 1
-        if remaining:
-            live = within[remaining]
-            for s in backwards:
-                if row[s] in live:
-                    stack.append((prefix + s, row[s]))
-        else:
-            out.extend(prefix + s for s in symbols if row[s] in accepting)
-    return out
-
-
-def has_length(auto: Automaton, n: int) -> bool:
-    """True iff the language contains a string of length n."""
-    return n >= 0 and auto.start in auto.within(n)[n]
-
-
-def smallest_of_length(auto: Automaton, n: int) -> str | None:
-    """Lexicographically smallest accepted string of length n, or None."""
-    if not has_length(auto, n):
-        return None
-    within = auto.within(n)
-    q = auto.start
-    word = []
-    for remaining in range(n - 1, -1, -1):
-        q, s = next((auto.transitions[q][s], s) for s in auto.alphabet
-                    if auto.transitions[q][s] in within[remaining])
-        word.append(s)
-    return "".join(word)
-
-
-def pumping_length(auto: Automaton) -> int:
-    """The state count, a valid pumping length for the accepted language."""
-    return auto.n_states
-
+# Decomposition and the language
 
 @dataclass(frozen=True)
 class RegDecomposition:
@@ -417,6 +343,11 @@ class RegDecomposition:
     z: str
 
     @property
+    def pieces(self) -> tuple[str, str, str]:
+        """(x, y, z): fixed and pump pieces alternating, pump at odd indices."""
+        return self.x, self.y, self.z
+
+    @property
     def whole(self) -> str:
         return self.x + self.y + self.z
 
@@ -424,29 +355,10 @@ class RegDecomposition:
         return self.x + self.y * i + self.z
 
 
-def reg_decompose(auto: Automaton, w: str) -> RegDecomposition:
-    """Decompose via the first repeated state along w's run (leftmost,
-    shortest loop), so the output is deterministic."""
-    if not member(auto, w):
-        raise DecompositionError(f"{w!r} is not a member")
-    p = pumping_length(auto)
-    if len(w) < p:
-        raise DecompositionError(f"|w|={len(w)} < pumping length {p}")
-    states = auto.run(w)
-    first_seen: dict[int, int] = {}
-    for idx, q in enumerate(states):
-        if q in first_seen:
-            i, j = first_seen[q], idx
-            return RegDecomposition(w[:i], w[i:j], w[j:])
-        first_seen[q] = idx
-    raise FoldlangError("no repeated state within the pumping length")
-
-
-# ---------------------------------------------------------------------------
-# Language facade
-
 class RegularLang:
     """A regular language: regex text + alphabet, compiled once."""
+
+    context_free = False
 
     def __init__(self, regex: str, alphabet: Alphabet):
         self.regex = regex
@@ -464,23 +376,83 @@ class RegularLang:
         return obj
 
     def member(self, w: str) -> bool:
-        return member(self.automaton, w)
+        transitions = self.automaton.transitions
+        q = self.automaton.start
+        for ch in w:
+            q = transitions[q].get(ch)
+            if q is None:  # outside the alphabet
+                return False
+        return q in self.automaton.accepting
 
     @lru_cache(maxsize=None)
     def enumerate_length(self, n: int) -> tuple[str, ...]:
-        return tuple(enumerate_length(self.automaton, n))
+        """Depth-first with an explicit stack, pruning prefixes that cannot
+        reach an accepting state in the remaining number of steps."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        auto = self.automaton
+        within = auto.within(n)
+        if auto.start not in within[n]:
+            return ()
+        if n == 0:
+            return ("",)
+        symbols = self.alphabet.symbols
+        backwards = symbols[::-1]  # popped in alphabet order
+        transitions, accepting = auto.transitions, auto.accepting
+        out: list[str] = []
+        stack = [("", auto.start)]
+        while stack:
+            prefix, q = stack.pop()
+            row = transitions[q]
+            remaining = n - len(prefix) - 1
+            if remaining:
+                live = within[remaining]
+                for s in backwards:
+                    if row[s] in live:
+                        stack.append((prefix + s, row[s]))
+            else:
+                out.extend(prefix + s for s in symbols if row[s] in accepting)
+        return tuple(out)
 
     def has_length(self, n: int) -> bool:
-        return has_length(self.automaton, n)
+        return n >= 0 and self.automaton.start in self.automaton.within(n)[n]
 
     def smallest_of_length(self, n: int) -> str | None:
-        return smallest_of_length(self.automaton, n)
+        """Greedy walk: the smallest symbol whose target still reaches an
+        accepting state in the remaining number of steps."""
+        auto = self.automaton
+        within = auto.within(n)
+        if n < 0 or auto.start not in within[n]:
+            return None
+        q = auto.start
+        word = []
+        for remaining in range(n - 1, -1, -1):
+            q, s = next((auto.transitions[q][s], s) for s in self.alphabet
+                        if auto.transitions[q][s] in within[remaining])
+            word.append(s)
+        return "".join(word)
 
     def pumping_length(self) -> int:
-        return pumping_length(self.automaton)
+        """The state count."""
+        return self.automaton.n_states
 
     def decompose(self, w: str) -> RegDecomposition:
-        return reg_decompose(self.automaton, w)
+        """Decompose via the first repeated state along w's run (leftmost,
+        shortest loop), so the output is deterministic."""
+        auto = self.automaton
+        states = auto.run(w) if all(ch in self.alphabet for ch in w) else [None]
+        if states[-1] not in auto.accepting:
+            raise DecompositionError(f"{w!r} is not a member")
+        p = self.pumping_length()
+        if len(w) < p:
+            raise DecompositionError(f"|w|={len(w)} < pumping length {p}")
+        first_seen: dict[int, int] = {}
+        for idx, q in enumerate(states):
+            if q in first_seen:
+                i, j = first_seen[q], idx
+                return RegDecomposition(w[:i], w[i:j], w[j:])
+            first_seen[q] = idx
+        raise FoldlangError("no repeated state within the pumping length")
 
     def is_infinite(self) -> bool:
         return self.automaton.is_infinite()

@@ -3,13 +3,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from foldlang import Alphabet, ContextFreeLang, parse_grammar, to_normal_form
-from foldlang.cfg import cyk_member, cfg_pumping_length
 from foldlang.errors import DecompositionError, GrammarSyntaxError
 
-from conftest import AB
+from conftest import AB, small_grammars
 
 ANBN = "S -> a S b | eps"
 DYCK = "S -> a S b S | eps"          # balanced a=open, b=close
@@ -84,10 +83,10 @@ def test_terminal_outside_alphabet():
 @pytest.mark.parametrize("text", FIXTURES)
 def test_normal_form_preserves_language(text):
     oracle = derivation_oracle(text, 8)
-    nf = to_normal_form(parse_grammar(text, AB))
+    lang = ContextFreeLang(text, AB)
     for n in range(9):
         for w in brute_words(n):
-            assert cyk_member(nf, w) == (w in oracle), w
+            assert lang.member(w) == (w in oracle), w
 
 
 @pytest.mark.parametrize("text", FIXTURES)
@@ -107,21 +106,8 @@ def test_normal_form_is_binary():
     assert nf.start_epsilon
 
 
-@st.composite
-def small_grammars(draw):
-    """Grammar text over {a, b}: 1-3 nonterminals, 1-3 alternatives each,
-    right-hand sides of 0-3 symbols (0 is `eps`)."""
-    nts = ("S", "A", "B")[:draw(st.integers(1, 3))]
-    rhs = st.lists(st.sampled_from(nts + ("a", "b")), max_size=3)
-    lines = []
-    for head in nts:
-        alts = draw(st.lists(rhs, min_size=1, max_size=3))
-        lines.append(f"{head} -> " + " | ".join(" ".join(r) or "eps" for r in alts))
-    return "\n".join(lines)
-
-
 @settings(max_examples=200, deadline=None)
-@given(small_grammars())
+@given(small_grammars("ab"))
 def test_length_pruned_kernels_match_oracle(text):
     oracle = derivation_oracle(text, 6)
     lang = ContextFreeLang(text, AB)
@@ -161,9 +147,9 @@ def test_cyk_long_input():
 # -- pumping -------------------------------------------------------------------
 
 def test_pumping_length_is_exponential_in_nonterminals():
-    nf = to_normal_form(parse_grammar(ANBN, AB))
-    assert cfg_pumping_length(nf) == 2 ** (nf.n_nonterminals() + 1)
-    assert ContextFreeLang(ANBN, AB).pumping_length() == 32
+    lang = ContextFreeLang(ANBN, AB)
+    assert lang.pumping_length() == 2 ** (len(lang.normal_form.nonterminals) + 1)
+    assert lang.pumping_length() == 32
 
 
 def test_decompose_anbn():
@@ -205,6 +191,12 @@ def test_is_infinite():
     assert ContextFreeLang(ANBN, AB).is_infinite()
     assert not ContextFreeLang("S -> a | a b", AB).is_infinite()
     assert not ContextFreeLang("S -> S | a", AB).is_infinite()
+    assert ContextFreeLang("S -> S S | a", AB).is_infinite()  # a one-node cycle
+
+
+def test_finiteness_needs_no_recursion():
+    chain = "\n".join(f"S{k} -> a S{k + 1}" for k in range(1500)) + "\nS1500 -> a"
+    assert not ContextFreeLang(chain, AB).is_infinite()
 
 
 def test_unary_grammar_decompose_degenerates():

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, round trips."""
 
+import argparse
 import json
 
 import pytest
 
 from foldlang import PumpFamily
-from foldlang.cli import run
+from foldlang.cli import _dispatch, run
+from foldlang.errors import FoldlangError
 
 BB_FRONT_SPEC = """\
 alphabet = a b
@@ -149,3 +151,20 @@ def test_refute_unary_rejects_mixed_alphabet(capsys, tmp_path):
     assert run(["refute-unary", "--predicate", "primes",
                 "--family", str(fam_path)]) == 1
     assert "unary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enum", "x.fsys", "--max-len", "-1"],
+    ["pump", "x.fsys", "--imax", "-1"],
+    ["verify", "x.fsys", "--family", "f.json", "--imax", "-1"],
+    ["refute-unary", "--predicate", "primes", "--family", "f.json", "--bound", "-1"],
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    # a negative --imax would verify nothing and still report PASS
+    assert run(argv) == 2
+    assert "must be an int >= 0" in capsys.readouterr().err
+
+
+def test_unknown_command_is_a_foldlang_error():
+    with pytest.raises(FoldlangError, match="unknown command"):
+        _dispatch(argparse.Namespace(command="no-such-command"))

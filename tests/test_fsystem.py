@@ -1,14 +1,17 @@
 """F-system semantics: enumeration, membership, pairing, spec files."""
 
-import pytest
+import itertools
 
-from foldlang import (FSystem, RegularLang, equal_length_pair,
-                      finite_language_system, fold, fs_enumerate, fs_member,
-                      parse_spec, load_spec)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from foldlang import (PROC_ALPHABET, ContextFreeLang, FSystem, RegularLang,
+                      equal_length_pair, finite_language_system, fold,
+                      fs_enumerate, fs_member, parse_spec, load_spec)
 from foldlang.errors import (AlphabetError, NoEqualLengthPair, ResourceLimit,
                              SpecFileError)
 
-from conftest import AB, system
+from conftest import AB, regex_asts, small_grammars, system
 
 BB_FRONT = system("aaaab*", "(uu)*ddd")
 
@@ -54,6 +57,41 @@ def test_gathered_enumeration_matches_pairwise_folds(core, proc):
     phi = system(core, proc)
     got = fs_enumerate(phi, 9, with_witnesses=True)
     assert list(got.items()) == list(pairwise_witnesses(phi, 9).items())
+
+
+def languages(alphabet, context_free):
+    symbols = alphabet.symbols
+    if context_free:
+        return small_grammars(symbols).map(lambda text: ContextFreeLang(text, alphabet))
+    return regex_asts(symbols).map(lambda ast: RegularLang.from_ast(ast, alphabet))
+
+
+def fold_oracle(phi, n):
+    """Every fold of an equal-length pair at length n, found by asking
+    member of every string in Sigma^n and {u, d}^n."""
+    rs = [r for r in map("".join, itertools.product(AB.symbols, repeat=n))
+          if phi.core.member(r)]
+    ss = [s for s in map("".join, itertools.product("ud", repeat=n))
+          if phi.proc.member(s)]
+    return {fold(r, s) for r in rs for s in ss}
+
+
+@pytest.mark.parametrize("core_cf,proc_cf", itertools.product((False, True), repeat=2),
+                         ids=["REG/REG", "REG/CF", "CF/REG", "CF/CF"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generated_systems_match_fold_oracle(core_cf, proc_cf, data):
+    phi = FSystem(data.draw(languages(AB, core_cf)),
+                  data.draw(languages(PROC_ALPHABET, proc_cf)))
+    members = [sorted(fold_oracle(phi, n), key=AB.sort_key) for n in range(6)]
+    assert fs_enumerate(phi, 5) == [w for ws in members for w in ws]
+    for n in range(6):
+        for w in map("".join, itertools.product(AB.symbols, repeat=n)):
+            ok, witness = fs_member(phi, w, with_witness=True)
+            assert ok == (w in members[n]), w
+            if ok:
+                r, s = witness
+                assert fold(r, s) == w and phi.core.member(r) and phi.proc.member(s)
 
 
 def test_membership():

@@ -226,6 +226,13 @@ def test_zero_pumped_total_rejected():
     assert any(c.index == -1 for c in report.checks)
 
 
+def test_checking_nothing_does_not_pass():
+    phi = system(*BB_FRONT)
+    plan = lemma1_plan(phi)
+    assert not verify_plan(plan, phi, range(0)).passed
+    assert not verify_family(plan_to_family(plan), phi, range(0)).passed
+
+
 def test_mismatched_growth_rates_still_plan():
     # core pumps two symbols per step, procedure three; a tiling exists
     phi = system("S -> a S b | eps", "S -> u S d d | eps")

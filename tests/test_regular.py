@@ -4,14 +4,14 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from foldlang import Alphabet, RegularLang, parse_regex
 from foldlang.errors import DecompositionError, FoldlangError, RegexSyntaxError
-from foldlang.regular import (Automaton, Concat, Empty, Epsilon, Literal,
-                              Optional, Plus, Star, Union, literal_word)
+from foldlang.regular import (Automaton, Concat, Epsilon, Literal, Star, Union,
+                              literal_word)
 
-from conftest import AB, random_word
+from conftest import AB, random_word, regex_asts
 from regex_oracle import match_backtrack
 
 UD = Alphabet("ud")
@@ -98,23 +98,8 @@ def test_enumerate_length_matches_filter(pattern, alphabet, pyre):
             assert smallest is None
 
 
-def _nary(node_type, children):
-    return st.lists(children, max_size=3).map(lambda parts: node_type(tuple(parts)))
-
-
-#: Regex ASTs over {a, b}: the empty language, the empty word, nested
-#: postfix operators, and unions and concatenations of 0-3 parts.
-REGEX_ASTS = st.recursive(
-    st.sampled_from([Empty(), Epsilon(), Literal("a"), Literal("b")]),
-    lambda children: st.one_of(
-        st.builds(Star, children), st.builds(Plus, children),
-        st.builds(Optional, children),
-        _nary(Union, children), _nary(Concat, children)),
-    max_leaves=8)
-
-
 @settings(max_examples=300, deadline=None)
-@given(REGEX_ASTS)
+@given(regex_asts("ab"))
 def test_position_automaton_matches_oracles(ast):
     lang = RegularLang.from_ast(ast, AB)
     reversed_order = RegularLang.from_ast(ast, BA)
@@ -183,6 +168,15 @@ def test_deep_ast_compiles_without_recursion():
         ast = Star(ast)
     deep = RegularLang.from_ast(ast, AB)
     assert deep.member("a" * 5) and not deep.member("ab")
+
+
+def test_deep_regex_nesting_parses_without_recursion():
+    lang = RegularLang("(" * 600 + "a" + ")" * 600, AB)
+    assert lang.member("a") and not lang.member("aa")
+    ast = parse_regex("(" * 600 + "a|b()" + ")" * 600 + "*", AB)
+    assert ast == Star(Union((Literal("a"), Concat((Literal("b"), Epsilon())))))
+    with pytest.raises(RegexSyntaxError, match=r"expected '\)' \(at position 601\)"):
+        parse_regex("(" * 600 + "a", AB)
 
 
 def test_long_regex_finiteness_needs_no_recursion():
