@@ -178,19 +178,28 @@ def _nullable_set(g: Grammar) -> set[str]:
 
 
 def _prune_useless(nonterminals, prods, start):
-    """Drop non-generating and unreachable nonterminals."""
+    """Drop non-generating and unreachable nonterminals.  Generating ones
+    come from a worklist, in time linear in the grammar: each production
+    is [head, its nonterminal occurrences not yet known to generate]."""
+    uses: dict[str, list[list]] = {nt: [] for nt in prods}
+    ready = []
+    for head, alts in prods.items():
+        for rhs in alts:
+            nts = [s for s in rhs if s in prods]
+            entry = [head, len(nts)]
+            for s in nts:
+                uses[s].append(entry)
+            if not nts:
+                ready.append(head)
     generating: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, alts in prods.items():
-            if head in generating:
-                continue
-            for rhs in alts:
-                if all((s in generating) or (s not in prods) for s in rhs):
-                    generating.add(head)
-                    changed = True
-                    break
+    while ready:
+        head = ready.pop()
+        if head not in generating:
+            generating.add(head)
+            for entry in uses[head]:
+                entry[1] -= 1
+                if not entry[1]:
+                    ready.append(entry[0])
     if start not in generating:
         return (start,), {start: []}
     reach = {start}
@@ -203,10 +212,9 @@ def _prune_useless(nonterminals, prods, start):
                     reach.add(s)
                     frontier.append(s)
     keep = generating & reach
-    new_prods = {}
-    for head in keep:
-        new_prods[head] = [rhs for rhs in prods[head]
-                           if all((s not in prods) or (s in keep) for s in rhs)]
+    new_prods = {head: [rhs for rhs in prods[head]
+                        if all(s not in prods or s in keep for s in rhs)]
+                 for head in keep}
     order = tuple(nt for nt in nonterminals if nt in keep)
     return order, new_prods
 

@@ -9,6 +9,7 @@ token "" denotes the empty string.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -43,6 +44,7 @@ def _count(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # built at the first run(); building costs far more than parsing
 def _build_parser():
     parser = argparse.ArgumentParser(prog="foldlang",
                                      description="String folding systems toolkit")

@@ -35,6 +35,14 @@ class Direction(enum.Enum):
         raise AlphabetError(f"direction must be 'u' or 'd', got {ch!r}")
 
 
+class _Rank(dict):
+    """str.translate table: a symbol's code point to chr(its index).  A
+    LookupError would leave a foreign symbol untranslated, so it raises."""
+
+    def __missing__(self, code):
+        raise AlphabetError(f"symbol {chr(code)!r} not in alphabet")
+
+
 class Alphabet:
     """Ordered set of distinct single-character symbols."""
 
@@ -51,6 +59,7 @@ class Alphabet:
             seen.add(s)
         self.symbols = tuple(syms)
         self._index = {s: i for i, s in enumerate(self.symbols)}
+        self._rank = _Rank({ord(s): chr(i) for i, s in enumerate(self.symbols)})
 
     def __contains__(self, symbol):
         return symbol in self._index
@@ -82,9 +91,9 @@ class Alphabet:
                 raise AlphabetError(f"symbol {ch!r} not in alphabet")
         return word
 
-    def sort_key(self, word: str):
-        """Key ordering words lexicographically by declared symbol order."""
-        return tuple(self._index[ch] for ch in word)
+    def sort_key(self, word: str) -> str:
+        """Key ordering words by declared symbol order, compared as str."""
+        return word.translate(self._rank)
 
 
 #: The folding-procedure alphabet, fixed to {u, d}.

@@ -153,19 +153,10 @@ def equal_length_pair(phi: FSystem, min_len: int,
 
 def finite_language_system(words) -> FSystem:
     """F-system whose language is exactly the given finite word set:
-    Phi = (union of the words, d*)."""
-    from .regular import Empty, Union, literal_word
-
-    words = sorted(set(words), key=lambda w: (len(w), w))
-    symbols = sorted({ch for w in words for ch in w})
-    alphabet = Alphabet(symbols or ["a"])
-    if not words:
-        ast = Empty()
-    elif len(words) == 1:
-        ast = literal_word(words[0])
-    else:
-        ast = Union(tuple(literal_word(w) for w in words))
-    core = RegularLang.from_ast(ast, alphabet)
+    Phi = (union of the words, d*), the core built from their prefix tree."""
+    words = set(words)
+    alphabet = Alphabet(sorted({ch for w in words for ch in w}) or ["a"])
+    core = RegularLang.from_words(words, alphabet)
     proc = RegularLang("d*", PROC_ALPHABET)
     return FSystem(core, proc)
 

@@ -7,8 +7,9 @@ compiled to a minimal complete DFA.  The compile builds the Glushkov
 position automaton (one position per literal, no epsilon edges), runs the
 subset construction over it with each state's follow positions bucketed
 by symbol, and minimizes by Moore refinement over per-symbol target
-columns.  The pumping decomposition is taken at the first repeated state
-along the run.
+columns.  A finite word set skips the regex compile: `from_words` builds
+the words' prefix tree and minimizes it.  The pumping decomposition is
+taken at the first repeated state along the run.
 
 Each automaton keeps one length table, grown on demand: within[k] holds
 the states from which an accepting state is reachable in exactly k steps.
@@ -131,11 +132,6 @@ def _concat(parts: list[RegexAst]) -> RegexAst:
 def _alternation(alts: list[list[RegexAst]]) -> RegexAst:
     nodes = [_concat(parts) for parts in alts]
     return nodes[0] if len(nodes) == 1 else Union(tuple(nodes))
-
-
-def literal_word(word: str) -> RegexAst:
-    """AST matching exactly the given word (no parsing involved)."""
-    return _concat([Literal(ch) for ch in word])
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +369,35 @@ class RegularLang:
         obj.alphabet = alphabet
         obj.ast = ast
         obj.automaton = compile_ast(ast, alphabet)
+        return obj
+
+    @classmethod
+    def from_words(cls, words, alphabet: Alphabet) -> "RegularLang":
+        """The words' finite language, no regex: their prefix tree, numbered
+        breadth-first from root 0 (dead node None where first reached), minimized."""
+        rank = {s: k for k, s in enumerate(alphabet.symbols)}
+        trie = {0: [None] * len(rank), None: [None] * len(rank)}  # child per symbol
+        final = set()
+        for w in words:
+            node = 0
+            for ch in alphabet.validate(w):
+                row = trie[node]
+                node = row[rank[ch]]
+                if node is None:
+                    node = row[rank[ch]] = len(trie)
+                    trie[node] = [None] * len(rank)
+            final.add(node)
+        number, order = {0: 0}, [0]
+        columns: list[list[int]] = [[] for _ in rank]
+        for node in order:  # breadth-first: order grows while it is walked
+            for column, nxt in zip(columns, trie[node]):
+                if nxt not in number:
+                    number[nxt] = len(order)
+                    order.append(nxt)
+                column.append(number[nxt])
+        obj = cls.__new__(cls)
+        obj.regex, obj.alphabet, obj.ast = None, alphabet, None
+        obj.automaton = _minimize(alphabet, columns, [node in final for node in order])
         return obj
 
     def member(self, w: str) -> bool:

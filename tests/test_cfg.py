@@ -3,9 +3,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from foldlang import Alphabet, ContextFreeLang, parse_grammar, to_normal_form
+from foldlang.cfg import _prune_useless
 from foldlang.errors import DecompositionError, GrammarSyntaxError
 
 from conftest import AB, small_grammars
@@ -197,6 +198,46 @@ def test_is_infinite():
 def test_finiteness_needs_no_recursion():
     chain = "\n".join(f"S{k} -> a S{k + 1}" for k in range(1500)) + "\nS1500 -> a"
     assert not ContextFreeLang(chain, AB).is_infinite()
+
+
+def naive_prune_useless(nonterminals, prods, start):
+    """Reference: generating nonterminals by whole passes to a fixpoint."""
+    generating = set()
+    changed = True
+    while changed:
+        changed = False
+        for head, alts in prods.items():
+            if head not in generating and any(
+                    all(s in generating or s not in prods for s in rhs) for rhs in alts):
+                generating.add(head)
+                changed = True
+    if start not in generating:
+        return (start,), {start: []}
+    reach, frontier = {start}, [start]
+    while frontier:
+        for rhs in prods[frontier.pop()]:
+            for s in rhs:
+                if s in generating and s not in reach:
+                    reach.add(s)
+                    frontier.append(s)
+    keep = generating & reach
+    return (tuple(nt for nt in nonterminals if nt in keep),
+            {head: [rhs for rhs in prods[head] if all(s not in prods or s in keep for s in rhs)]
+             for head in keep})
+
+
+# the chain as in test_finiteness_needs_no_recursion, shortened: the
+# reference makes one pass per nonterminal
+CHAIN_300 = "\n".join(f"S{k} -> a S{k + 1}" for k in range(300)) + "\nS300 -> a"
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_grammars("ab"))
+@example(CHAIN_300)
+def test_prune_useless_matches_the_fixpoint(text):
+    g = parse_grammar(text, AB)
+    args = (g.nonterminals, g.productions, g.start)
+    assert _prune_useless(*args) == naive_prune_useless(*args)
 
 
 def test_unary_grammar_decompose_degenerates():

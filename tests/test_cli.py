@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, exit codes, round trips."""
 
 import argparse
+import hashlib
 import json
+import random
 
 import pytest
 
-from foldlang import PumpFamily
-from foldlang.cli import _dispatch, run
+from foldlang import PumpFamily, finite_language_system, fs_enumerate
+from foldlang.cli import _build_parser, _dispatch, run
 from foldlang.errors import FoldlangError
 
 BB_FRONT_SPEC = """\
@@ -168,3 +170,97 @@ def test_negative_counts_are_usage_errors(capsys, argv):
 def test_unknown_command_is_a_foldlang_error():
     with pytest.raises(FoldlangError, match="unknown command"):
         _dispatch(argparse.Namespace(command="no-such-command"))
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, bb_front_spec):
+    argvs = [["enum"], ["enum", bb_front_spec, "--max-len", "13"],
+             ["fold", "abcde", "dduud", "--trace"], ["fold", "onlyone"], ["--help"]]
+
+    def call(argv):
+        rc = run(argv)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    fresh = []
+    for argv in argvs:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert [rc for rc, _, _ in fresh] == [2, 0, 0, 2, 0]
+    assert [call(argv) for argv in argvs] == fresh  # one parser for all five
+
+
+def _spec(core, proc):
+    lines = ["alphabet = a b"]
+    for side, text in (("core", core), ("proc", proc)):
+        kind = "cfg" if "->" in text else "regex"
+        lines += [f"{side}.kind = {kind}", f"{side}.{kind} = {text}"]
+    return "\n".join(lines) + "\n"
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: The twelve benchmark corpus systems as (core, procedure, --max-len):
+#: the dense ones at the low end of their enum range, the demo systems
+#: at 24.  Each maps to the sha256 of `foldlang enum` stdout.
+ENUM_PINS = {
+    ("a*b*", "(u|d)*", 8):
+        "c26c976675c2bcbf31e5b330cde647612b08f7026eddbeb428a0ebe2d5b6c163",
+    ("(ab)*", "(u|d)*", 10):
+        "75556a9b9fcccc7453437007ca7a7926de49f5922ffd59f35c384840798c6095",
+    ("(a|b)*", "(u|d)*", 5):
+        "df618382f0fe2062a6d0dc6595a704a91df0607c334dcf5ada8df0b770b6d768",
+    ("S -> a S b S | eps", "(u|d)*", 6):
+        "8d70b22d67275bc5727202f8b93cf76729832d996cbbd691ef2656741b7cc95c",
+    ("(a|b)*", "S -> u S d S | eps", 6):
+        "59baea5b19de16708bd09cf7dcaf136021ffd29016daa3a8b8825ff386d890f3",
+    ("S -> a S b S | eps", "S -> u S d S | eps", 8):
+        "bd8677855a6961770f802c06546dbaa56e15291513c0265d41f5cb4f0190d3be",
+    ("aaaab*", "(uu)*ddd", 24):
+        "e15e81881e4056ad70370c587237afa7cd526142fb698a52fb11dbb36ba7a834",
+    ("S -> a S b | eps", "(ud)*", 24):
+        "1580d1267beba7c9b9e3e94c6bcbfa96bb8464dc9bb03d9d0c3285873508fe9c",
+    ("(ab)*", "S -> u S d | eps", 24):
+        "8ba15ba7c45167298deee63290059f01246c4655a3064c83f7c4e77d40e59edb",
+    ("S -> a S b | eps", "S -> u S d | eps", 24):
+        "338bbbe957260c231991d4080e405cb4983a2ce27bd334bfb96e36277d9220e4",
+    ("S -> a a S b | eps", "S -> u S d | eps", 24):
+        "d4a11928268f3de7a62882274b542b44b530b4e5522fe9f3c641c9ddcc15ce6f",
+    ("S -> a S | eps", "S -> u S | eps", 24):
+        "5cc080cfa56655e1427ea32e93f2fe1883051c4a8f80cd120af6c0c3d245b796",
+}
+
+#: Seeded finite-language round trips, (seed, size, symbols), each
+#: mapping to the sha256 of the enumerated words joined by newlines.
+FINITE_PINS = {
+    (61, 1000, "ab"):
+        "0043dbd131ba2ea762bae900a6fd1d01ce0337e1eed1d0029e351a1892b7cb4b",
+    (62, 1500, "ab"):
+        "0ae4a0117b884c6ad068466f0764eb421ef1a344b5e9f97096bf414ef4f20a04",
+    (63, 2000, "abc"):
+        "40da66a7f57f06418a749d02ca01ed26bca9b12a4e610cc561a9f18708e8cdc9",
+}
+
+
+def _finite_words(seed, size, symbols):
+    rng = random.Random(seed)
+    words = set()
+    while len(words) < size:
+        words.add("".join(rng.choice(symbols) for _ in range(rng.randint(4, 12))))
+    return words
+
+
+def test_enum_output_is_pinned(capsys, tmp_path):
+    got = {}
+    for core, proc, max_len in ENUM_PINS:
+        path = tmp_path / "system.fsys"
+        path.write_text(_spec(core, proc), encoding="utf-8")
+        assert run(["enum", str(path), "--max-len", str(max_len)]) == 0
+        got[core, proc, max_len] = _sha(capsys.readouterr().out)
+    for seed, size, symbols in FINITE_PINS:
+        words = _finite_words(seed, size, symbols)
+        out = fs_enumerate(finite_language_system(words), 12)
+        assert out == sorted(words, key=lambda w: (len(w), w))
+        got[seed, size, symbols] = _sha("\n".join(out))
+    assert got == {**ENUM_PINS, **FINITE_PINS}

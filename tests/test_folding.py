@@ -5,8 +5,8 @@ import collections
 import pytest
 from hypothesis import given, strategies as st
 
-from foldlang import (Direction, fold, fold_permutation, fold_step, fold_trace,
-                      split_updown)
+from foldlang import (Alphabet, Direction, fold, fold_permutation, fold_step,
+                      fold_trace, split_updown)
 from foldlang.errors import AlphabetError, UndefinedFold
 
 from conftest import random_proc, random_word, ABC
@@ -124,3 +124,16 @@ def test_identities_random_sample(rng):
         out = fold(w, v)
         assert up[::-1] + down == out
         assert collections.Counter(out) == collections.Counter(w)
+
+
+@given(st.lists(st.text("abc", max_size=6), max_size=12),
+       st.sampled_from(["abc", "cab", "bca"]))
+def test_sort_key_orders_by_symbol_index(words, order):
+    alphabet = Alphabet(order)
+    by_index = sorted(words, key=lambda w: tuple(alphabet.index(c) for c in w))
+    assert sorted(words, key=alphabet.sort_key) == by_index
+
+
+def test_sort_key_rejects_foreign_symbols():
+    with pytest.raises(AlphabetError, match="'c'"):
+        Alphabet("ab").sort_key("abc")

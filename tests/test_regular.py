@@ -4,12 +4,12 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from foldlang import Alphabet, RegularLang, parse_regex
-from foldlang.errors import DecompositionError, FoldlangError, RegexSyntaxError
-from foldlang.regular import (Automaton, Concat, Epsilon, Literal, Star, Union,
-                              literal_word)
+from foldlang.errors import (AlphabetError, DecompositionError, FoldlangError,
+                             RegexSyntaxError)
+from foldlang.regular import Automaton, Concat, Epsilon, Literal, Star, Union
 
 from conftest import AB, random_word, regex_asts
 from regex_oracle import match_backtrack
@@ -195,7 +195,35 @@ def test_is_infinite():
 
 
 def test_literal_word_roundtrip():
-    lang = RegularLang.from_ast(literal_word("abba"), AB)
+    lang = RegularLang.from_words(["abba"], AB)
     assert lang.member("abba")
     assert not lang.member("abb")
     assert list(lang.enumerate_length(4)) == ["abba"]
+
+
+@st.composite
+def word_sets(draw):
+    """Sets of 0-8 words of length 0-5 over 1-3 symbols, and those
+    symbols in declared order or reversed."""
+    symbols = draw(st.sampled_from(["a", "ab", "abc"]))
+    words = draw(st.sets(st.text(symbols, max_size=5), max_size=8))
+    return words, Alphabet(symbols[::-1] if draw(st.booleans()) else symbols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_sets())
+@example((set(), AB))
+@example(({""}, BA))
+@example(({"", "ab", "ba", "abba"}, BA))
+def test_from_words_matches_the_regex_compile(case):
+    words, alphabet = case
+    regex = "|".join(w or "()" for w in words) or "[]"
+    expect = RegularLang(regex, alphabet).automaton
+    got = RegularLang.from_words(words, alphabet).automaton
+    assert got.transitions == expect.transitions
+    assert (got.start, got.accepting) == (expect.start, expect.accepting)
+
+
+def test_from_words_rejects_foreign_symbols():
+    with pytest.raises(AlphabetError, match="'c'"):
+        RegularLang.from_words(["ab", "abc"], AB)
