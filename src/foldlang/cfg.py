@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from .errors import DecompositionError, FoldlangError, GrammarSyntaxError
 from .folding import Alphabet
+from .graph import closure, has_cycle
 
 _NONTERM = re.compile(r"[A-Z][A-Za-z0-9_]*$")
 
@@ -161,26 +162,10 @@ class LengthTable:
                     yield l - t
 
 
-def _nullable_set(g: Grammar) -> set[str]:
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, alts in g.productions.items():
-            if head in nullable:
-                continue
-            for rhs in alts:
-                if all(sym in nullable for sym in rhs):
-                    nullable.add(head)
-                    changed = True
-                    break
-    return nullable
-
-
-def _prune_useless(nonterminals, prods, start):
-    """Drop non-generating and unreachable nonterminals.  Generating ones
-    come from a worklist, in time linear in the grammar: each production
-    is [head, its nonterminal occurrences not yet known to generate]."""
+def _generating(prods) -> set[str]:
+    """Nonterminals that derive some terminal string, from a worklist in
+    time linear in the grammar: each production is [head, its nonterminal
+    occurrences not yet known to generate]."""
     uses: dict[str, list[list]] = {nt: [] for nt in prods}
     ready = []
     for head, alts in prods.items():
@@ -200,18 +185,23 @@ def _prune_useless(nonterminals, prods, start):
                 entry[1] -= 1
                 if not entry[1]:
                     ready.append(entry[0])
+    return generating
+
+
+def _nullable_set(prods) -> set[str]:
+    """Nonterminals that derive the empty string: those that generate
+    using only productions with no terminal."""
+    return _generating({head: [rhs for rhs in alts if all(s in prods for s in rhs)]
+                        for head, alts in prods.items()})
+
+
+def _prune_useless(nonterminals, prods, start):
+    """Drop non-generating and unreachable nonterminals."""
+    generating = _generating(prods)
     if start not in generating:
         return (start,), {start: []}
-    reach = {start}
-    frontier = [start]
-    while frontier:
-        head = frontier.pop()
-        for rhs in prods[head]:
-            for s in rhs:
-                if s in prods and s in generating and s not in reach:
-                    reach.add(s)
-                    frontier.append(s)
-    keep = generating & reach
+    keep = closure([start], lambda a: [s for rhs in prods[a] for s in rhs
+                                       if s in generating])
     new_prods = {head: [rhs for rhs in prods[head]
                         if all(s not in prods or s in keep for s in rhs)]
                  for head in keep}
@@ -221,10 +211,9 @@ def _prune_useless(nonterminals, prods, start):
 
 def to_normal_form(g: Grammar) -> NormalFormGrammar:
     nonterminals, prods = _prune_useless(g.nonterminals, g.productions, g.start)
-    sub = Grammar(nonterminals, g.terminals, prods, g.start)
 
     # epsilon elimination
-    nullable = _nullable_set(sub)
+    nullable = _nullable_set(prods)
     start_epsilon = g.start in nullable
     eps_free: dict[str, set[tuple[str, ...]]] = {nt: set() for nt in nonterminals}
     for head, alts in prods.items():
@@ -236,24 +225,13 @@ def to_normal_form(g: Grammar) -> NormalFormGrammar:
                 if new:
                     eps_free[head].add(new)
 
-    # unit-production elimination
-    unit_closure: dict[str, set[str]] = {nt: {nt} for nt in nonterminals}
-    changed = True
-    while changed:
-        changed = False
-        for a in nonterminals:
-            for rhs in list(eps_free[a]):
-                if len(rhs) == 1 and rhs[0] in eps_free:
-                    for b in unit_closure[rhs[0]]:
-                        if b not in unit_closure[a]:
-                            unit_closure[a].add(b)
-                            changed = True
-    no_unit: dict[str, set[tuple[str, ...]]] = {nt: set() for nt in nonterminals}
-    for a in nonterminals:
-        for b in unit_closure[a]:
-            for rhs in eps_free[b]:
-                if not (len(rhs) == 1 and rhs[0] in eps_free):
-                    no_unit[a].add(rhs)
+    # unit-production elimination: A gets the other productions of every
+    # B it reaches through A -> B steps
+    units = {a: [rhs[0] for rhs in eps_free[a] if len(rhs) == 1 and rhs[0] in eps_free]
+             for a in nonterminals}
+    no_unit = {a: {rhs for b in closure([a], units.__getitem__) for rhs in eps_free[b]
+                   if not (len(rhs) == 1 and rhs[0] in eps_free)}
+               for a in nonterminals}
 
     # terminal lifting and binarization
     order = list(nonterminals)
@@ -305,19 +283,16 @@ def to_normal_form(g: Grammar) -> NormalFormGrammar:
                 else:
                     bin_prods[a].append((lifted[0], chain(lifted[1:])))
 
-    order2, _ = _prune_useless(
-        tuple(order),
-        {nt: [tuple(p) for p in bin_prods[nt]] + [(t,) for t in term_prods[nt]]
-         for nt in order},
+    # the eliminations can leave nonterminals that are unreachable or
+    # derive nothing; the start symbol too, when it derives only epsilon
+    order2, kept = _prune_useless(
+        tuple(order), {nt: bin_prods[nt] + [(t,) for t in term_prods[nt]] for nt in order},
         g.start)
-    keep = set(order2)
     return NormalFormGrammar(
-        nonterminals=tuple(nt for nt in order if nt in keep),
+        nonterminals=order2,
         terminals=g.terminals,
-        bin_prods={nt: sorted(p for p in bin_prods[nt]
-                              if p[0] in keep and p[1] in keep)
-                   for nt in order if nt in keep},
-        term_prods={nt: sorted(term_prods[nt]) for nt in order if nt in keep},
+        bin_prods={nt: sorted(p for p in kept[nt] if len(p) == 2) for nt in order2},
+        term_prods={nt: sorted(p[0] for p in kept[nt] if len(p) == 1) for nt in order2},
         start=g.start,
         start_epsilon=start_epsilon,
     )
@@ -547,24 +522,9 @@ class ContextFreeLang:
     def is_infinite(self) -> bool:
         """Infinite iff the digraph of A -> B C edges has a cycle: every
         nonterminal of the normal form is useful, and each binary step
-        derives at least one terminal beside the repeated nonterminal.
-        Peeling nodes with no unpeeled predecessor (Kahn) leaves some
-        behind exactly when there is a cycle."""
-        succ = {a: {x for bc in alts for x in bc}
-                for a, alts in self.normal_form.bin_prods.items()}
-        indegree = dict.fromkeys(succ, 0)
-        for targets in succ.values():
-            for b in targets:
-                indegree[b] += 1
-        ready = [a for a, d in indegree.items() if d == 0]
-        peeled = 0
-        while ready:
-            peeled += 1
-            for b in succ[ready.pop()]:
-                indegree[b] -= 1
-                if indegree[b] == 0:
-                    ready.append(b)
-        return peeled < len(succ)
+        derives at least one terminal beside the repeated nonterminal."""
+        return has_cycle({a: {x for bc in alts for x in bc}
+                          for a, alts in self.normal_form.bin_prods.items()})
 
     def __repr__(self):
         return f"ContextFreeLang(start={self.grammar.start!r})"

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: fold, enum, member, pump, verify, refute-unary.  Exit codes:
-0 success, 1 domain failure (verification failed, no pumpable pair, ...),
-2 usage or parse error.  Strings on the command line are raw; the literal
-token "" denotes the empty string.
+0 success, 1 domain failure (verification failed, no pumpable pair, a
+malformed spec, family, regex or grammar, ...), 2 command-line usage
+error.  Strings on the command line are raw; the literal token ""
+denotes the empty string.
 """
 
 from __future__ import annotations
@@ -154,16 +155,14 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         phi = load_spec(args.spec)
-        with open(args.family, encoding="utf-8") as fh:
-            family = PumpFamily.from_json(fh.read())
+        family = _load_family(args.family)
         report = verify_family(family, phi, range(args.imax + 1))
         print(report.summary())
         print("PASS" if report.passed else "FAIL")
         return 0 if report.passed else 1
 
     if args.command == "refute-unary":
-        with open(args.family, encoding="utf-8") as fh:
-            family = PumpFamily.from_json(fh.read())
+        family = _load_family(args.family)
         witness = pumping.refute_unary_family(
             PREDICATES[args.predicate], family, args.bound)
         if witness is None:
@@ -174,6 +173,11 @@ def _dispatch(args) -> int:
         return 0
 
     raise FoldlangError(f"unknown command {args.command!r}")
+
+
+def _load_family(path) -> PumpFamily:
+    with open(path, "rb") as fh:  # from_json reports bytes that are not UTF-8
+        return PumpFamily.from_json(fh.read())
 
 
 def main() -> None:

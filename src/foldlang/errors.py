@@ -47,3 +47,7 @@ class ResourceLimit(FoldlangError):
 
 class SpecFileError(FoldlangError):
     """Malformed F-system spec file."""
+
+
+class FamilyFileError(FoldlangError):
+    """Malformed pump family document."""

@@ -129,8 +129,11 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
 
 def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
               with_witness: bool = False):
-    """Decide w in L(Phi) by exhausting equal-length pairs at |w|."""
-    rs, ss = _pairs_at_length(phi, len(w), pair_cap)
+    """Decide w in L(Phi) by exhausting equal-length pairs at |w|.  A fold
+    permutes r, so a w with a symbol outside the core alphabet is refused
+    before any slice is built."""
+    rs, ss = (_pairs_at_length(phi, len(w), pair_cap)
+              if all(ch in phi.core.alphabet for ch in w) else ((), ()))
     for r in rs:
         for s in ss:
             if fold(r, s) == w:
@@ -211,4 +214,8 @@ def parse_spec(text: str) -> FSystem:
 
 def load_spec(path) -> FSystem:
     with open(path, encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecFileError(f"{path}: not UTF-8 ({exc})") from None
+    return parse_spec(text)

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .cfg import CfgDecomposition
-from .errors import CaseValidationFailed, FiniteComponent, FoldlangError
+from .errors import (CaseValidationFailed, FamilyFileError, FiniteComponent,
+                     FoldlangError)
 from .folding import split_updown
 from .fsystem import FSystem, equal_length_pair, fs_member
 from .regular import RegDecomposition
@@ -90,10 +91,6 @@ class StrandPlan:
     def m(self) -> int:
         return len(self.xi)
 
-    @property
-    def pumped_window_indices(self) -> tuple[int, ...]:
-        return tuple(range(2, self.m + 1, 2))  # 1-based, even positions
-
     def r_at(self, j: int) -> str:
         return _windows_at(self.xi, j - self.j0)
 
@@ -141,10 +138,24 @@ class PumpFamily:
         })
 
     @classmethod
-    def from_json(cls, text: str) -> "PumpFamily":
-        obj = json.loads(text)
-        return cls(tuple(obj["parts"]), tuple(obj["pumped"]),
-                   obj["lemma"], obj["j0"])
+    def from_json(cls, text: str | bytes) -> "PumpFamily":
+        """The family that to_json wrote; FamilyFileError for any other
+        document."""
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:  # a UnicodeDecodeError included
+            raise FamilyFileError(f"not JSON: {exc}") from None
+        shape = {"parts": list, "pumped": list, "lemma": str, "j0": int}
+        if not (isinstance(obj, dict)
+                and all(isinstance(obj.get(k), t) for k, t in shape.items())):
+            raise FamilyFileError("expected an object with list parts, list pumped, "
+                                  "str lemma and int j0")
+        parts, pumped = obj["parts"], obj["pumped"]
+        if not all(isinstance(p, str) for p in parts):
+            raise FamilyFileError("parts must be strings")
+        if not all(isinstance(k, int) and 0 <= k < len(parts) for k in pumped):
+            raise FamilyFileError(f"pumped indices must lie in 0..{len(parts) - 1}")
+        return cls(tuple(parts), tuple(pumped), obj["lemma"], obj["j0"])
 
 
 @dataclass(frozen=True)
@@ -191,38 +202,36 @@ def _carve(s: str, lens) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _search_plan(lemma, case, r_blocks, s_blocks, lens_fn, core_dec, proc_dec,
-                 j0_bound=DEFAULT_J0_BOUND) -> StrandPlan:
+def _search_plan(lemma, case, r_blocks, s_blocks, core_dec, proc_dec) -> StrandPlan:
     """Try j0 = 0, 1, ... until the windowed form reproduces both strand
-    formulas exactly for j in {j0, ..., j0+3}."""
+    formulas exactly for j in {j0, ..., j0+3}.  align's windows tile both
+    strands by construction; the reconstruction check still gates every
+    plan."""
     last_problem = "no j0 produced non-negative window offsets"
-    for j0 in range(j0_bound + 1):
-        lens = lens_fn(j0)
-        if lens is None or any(l < 0 for l in lens):
+    for j0 in range(DEFAULT_J0_BOUND + 1):
+        lens = align(r_blocks, s_blocks, j0)
+        if any(l < 0 for l in lens):
             continue
-        r1 = materialize(r_blocks, j0 + 1)
-        s1 = materialize(s_blocks, j0 + 1)
-        if sum(lens) != len(r1) or sum(lens) != len(s1):
-            last_problem = f"window lengths do not tile the strands at j0={j0}"
-            continue
-        xi = _carve(r1, lens)
-        mu = _carve(s1, lens)
+        xi = _carve(materialize(r_blocks, j0 + 1), lens)
+        mu = _carve(materialize(s_blocks, j0 + 1), lens)
         plan = StrandPlan(lemma, case, xi, mu, j0, tuple(r_blocks),
                           tuple(s_blocks), core_dec, proc_dec)
-        bad = _reconstruction_mismatch(plan)
-        if bad is None:
+        bad = [f"{problem} at j={j}" for j in range(j0, j0 + 4)
+               for problem in _mismatches(plan, j)]
+        if not bad:
             return plan
-        last_problem = f"j0={j0}: {bad}"
+        last_problem = f"j0={j0}: {bad[0]}"
     raise CaseValidationFailed(f"{lemma}{'/' + case if case else ''}: {last_problem}")
 
 
-def _reconstruction_mismatch(plan: StrandPlan) -> str | None:
-    for j in range(plan.j0, plan.j0 + 4):
-        if plan.r_at(j) != materialize(plan.r_blocks, j):
-            return f"core window xi mismatch at j={j}"
-        if plan.s_at(j) != materialize(plan.s_blocks, j):
-            return f"procedure window mu mismatch at j={j}"
-    return None
+def _mismatches(plan: StrandPlan, j: int) -> list[str]:
+    """The strands whose windows do not reproduce their formula at j."""
+    problems = []
+    if plan.r_at(j) != materialize(plan.r_blocks, j):
+        problems.append("core windows != strand formula")
+    if plan.s_at(j) != materialize(plan.s_blocks, j):
+        problems.append("procedure windows != strand formula")
+    return problems
 
 
 def _base_pair(phi: FSystem) -> tuple[str, str]:
@@ -317,8 +326,7 @@ def _plan(phi: FSystem, lemma: str) -> StrandPlan:
     r_blocks = _strand(r_pieces, k * sum(map(len, s_pumps)))
     s_blocks = _strand(s_pieces, k * sum(map(len, r_pumps)))
     case = lemma3_case(dr, ds) if cf_cf else None
-    return _search_plan(lemma, case, r_blocks, s_blocks,
-                        lambda j0: align(r_blocks, s_blocks, j0), dr, ds)
+    return _search_plan(lemma, case, r_blocks, s_blocks, dr, ds)
 
 
 def _pieces(d: RegDecomposition | CfgDecomposition,
@@ -420,13 +428,7 @@ def verify_plan(plan: StrandPlan, phi: FSystem, j_range=None) -> VerificationRep
     checks = []
     for j in j_range:
         r_w, s_w = plan.r_at(j), plan.s_at(j)
-        r_f = materialize(plan.r_blocks, j)
-        s_f = materialize(plan.s_blocks, j)
-        problems = []
-        if r_w != r_f:
-            problems.append("core windows != strand formula")
-        if s_w != s_f:
-            problems.append("procedure windows != strand formula")
+        problems = _mismatches(plan, j)
         if len(r_w) != len(s_w):
             problems.append("strand lengths differ")
         if not problems and not phi.core.member(r_w):

@@ -30,6 +30,7 @@ from functools import lru_cache
 
 from .errors import DecompositionError, FoldlangError, RegexSyntaxError
 from .folding import Alphabet
+from .graph import closure, has_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +203,6 @@ def _positions(ast: RegexAst, alphabet: Alphabet):
     return sym, follow, set(last) | ({0} if nullable else set())
 
 
-def _closure(seeds, successors) -> set[int]:
-    """Every state reachable from seeds through successors(q)."""
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        for r in successors(frontier.pop()):
-            if r not in seen:
-                seen.add(r)
-                frontier.append(r)
-    return seen
-
-
 class Automaton:
     """Deterministic, complete automaton over an Alphabet.
 
@@ -251,24 +240,14 @@ class Automaton:
 
     def _live_states(self) -> set[int]:
         """Reachable states from which an accepting state is reachable."""
-        reach = _closure([self.start], lambda q: self.transitions[q].values())
-        return reach & _closure(self.accepting, self._preds.__getitem__)
+        reach = closure([self.start], lambda q: self.transitions[q].values())
+        return reach & closure(self.accepting, self._preds.__getitem__)
 
     def is_infinite(self) -> bool:
-        """True iff the accepted language is infinite (a live state on a
-        cycle): peeling off live states with no live predecessor left
-        leaves some behind."""
+        """True iff the accepted language is infinite: a live state lies on
+        a cycle of live states."""
         live = self._live_states()
-        indegree = {q: len(self._preds[q] & live) for q in live}
-        ready = [q for q, d in indegree.items() if d == 0]
-        peeled = 0
-        while ready:
-            peeled += 1
-            for r in set(self.transitions[ready.pop()].values()) & live:
-                indegree[r] -= 1
-                if indegree[r] == 0:
-                    ready.append(r)
-        return peeled < len(live)
+        return has_cycle({q: set(self.transitions[q].values()) & live for q in live})
 
     def within(self, n: int) -> list[frozenset[int]]:
         """The length table grown to cover n: within[k] holds the states
@@ -284,31 +263,34 @@ def compile_ast(ast: RegexAst, alphabet: Alphabet) -> Automaton:
     over the position automaton, each state's follow positions bucketed by
     symbol."""
     sym, follow, finals = _positions(ast, alphabet)
-    start = frozenset([0])
-    index = {start: 0}
-    order = [start]
-    columns: list[list[int]] = [[] for _ in alphabet.symbols]
-    for cur in order:  # breadth-first: order grows while it is walked
-        buckets: list[list[int]] = [[] for _ in columns]
-        for p in cur:
+
+    def targets(state):
+        buckets: list[list[int]] = [[] for _ in alphabet.symbols]
+        for p in state:
             for q in follow[p]:
                 buckets[sym[q]].append(q)
-        for column, bucket in zip(columns, buckets):
-            nxt = frozenset(bucket)
-            if nxt not in index:
-                index[nxt] = len(order)
+        return map(frozenset, buckets)
+
+    return _minimize(alphabet, frozenset([0]), targets,
+                     lambda state: not state.isdisjoint(finals))
+
+
+def _minimize(alphabet: Alphabet, start, targets, accepts) -> Automaton:
+    """Minimal complete DFA of the automaton reachable from start, where
+    targets(node) gives node's successors in alphabet order and
+    accepts(node) whether it accepts.  The nodes are numbered breadth-first
+    from start 0, then refined (Moore) over per-symbol target columns.
+    Blocks are numbered by their first state, so the result is numbered
+    breadth-first as well."""
+    number, order = {start: 0}, [start]
+    columns: list[list[int]] = [[] for _ in alphabet.symbols]
+    for node in order:  # order grows while it is walked
+        for column, nxt in zip(columns, targets(node)):
+            if nxt not in number:
+                number[nxt] = len(order)
                 order.append(nxt)
-            column.append(index[nxt])
-    accepting = [not s.isdisjoint(finals) for s in order]
-    return _minimize(alphabet, columns, accepting)
-
-
-def _minimize(alphabet: Alphabet, columns: list[list[int]], accepting: list[bool]) -> Automaton:
-    """Moore partition refinement over per-symbol target columns
-    (columns[k][q] is q's successor on the k-th symbol); keeps the
-    automaton complete.  The states must be numbered breadth-first from
-    start 0: blocks are numbered by their first state, so the result is
-    numbered breadth-first as well."""
+            column.append(number[nxt])
+    accepting = [accepts(node) for node in order]
     block = accepting
     count = len(set(block))
     while True:
@@ -373,8 +355,8 @@ class RegularLang:
 
     @classmethod
     def from_words(cls, words, alphabet: Alphabet) -> "RegularLang":
-        """The words' finite language, no regex: their prefix tree, numbered
-        breadth-first from root 0 (dead node None where first reached), minimized."""
+        """The words' finite language, no regex: their prefix tree (dead
+        node None), minimized."""
         rank = {s: k for k, s in enumerate(alphabet.symbols)}
         trie = {0: [None] * len(rank), None: [None] * len(rank)}  # child per symbol
         final = set()
@@ -387,17 +369,9 @@ class RegularLang:
                     node = row[rank[ch]] = len(trie)
                     trie[node] = [None] * len(rank)
             final.add(node)
-        number, order = {0: 0}, [0]
-        columns: list[list[int]] = [[] for _ in rank]
-        for node in order:  # breadth-first: order grows while it is walked
-            for column, nxt in zip(columns, trie[node]):
-                if nxt not in number:
-                    number[nxt] = len(order)
-                    order.append(nxt)
-                column.append(number[nxt])
         obj = cls.__new__(cls)
         obj.regex, obj.alphabet, obj.ast = None, alphabet, None
-        obj.automaton = _minimize(alphabet, columns, [node in final for node in order])
+        obj.automaton = _minimize(alphabet, 0, trie.__getitem__, final.__contains__)
         return obj
 
     def member(self, w: str) -> bool:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from foldlang import Alphabet, ContextFreeLang, parse_grammar, to_normal_form
-from foldlang.cfg import _prune_useless
+from foldlang.cfg import _nullable_set, _prune_useless
 from foldlang.errors import DecompositionError, GrammarSyntaxError
 
 from conftest import AB, small_grammars
@@ -200,6 +200,18 @@ def test_finiteness_needs_no_recursion():
     assert not ContextFreeLang(chain, AB).is_infinite()
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_grammars("ab"))
+@example("S -> eps | S S")           # {eps}: S -> S S survives epsilon elimination
+@example("S -> eps | A S\nA -> S S")
+def test_is_infinite_matches_the_length_oracle(text):
+    # infinite iff some length in [p, 2p) is derivable: pumping down the
+    # shortest member of length >= p leaves one of length >= p
+    lang = ContextFreeLang(text, AB)
+    p = lang.pumping_length()
+    assert lang.is_infinite() == any(lang.has_length(n) for n in range(p, 2 * p))
+
+
 def naive_prune_useless(nonterminals, prods, start):
     """Reference: generating nonterminals by whole passes to a fixpoint."""
     generating = set()
@@ -238,6 +250,41 @@ def test_prune_useless_matches_the_fixpoint(text):
     g = parse_grammar(text, AB)
     args = (g.nonterminals, g.productions, g.start)
     assert _prune_useless(*args) == naive_prune_useless(*args)
+
+
+def naive_nullable_set(prods):
+    """Reference: nullable nonterminals by whole passes to a fixpoint."""
+    nullable = set()
+    changed = True
+    while changed:
+        changed = False
+        for head, alts in prods.items():
+            if head not in nullable and any(all(s in nullable for s in rhs) for rhs in alts):
+                nullable.add(head)
+                changed = True
+    return nullable
+
+
+# a chain that is a unit chain after epsilon elimination, listed from the
+# start symbol down: the reference makes one pass per nonterminal
+UNIT_CHAIN_300 = "\n".join(f"S{k} -> a S{k + 1} | S{k + 1} S{k + 1}"
+                           for k in range(300)) + "\nS300 -> a | eps"
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_grammars("ab"))
+@example(UNIT_CHAIN_300)
+def test_nullable_worklist_matches_the_fixpoint(text):
+    prods = parse_grammar(text, AB).productions
+    assert _nullable_set(prods) == naive_nullable_set(prods)
+
+
+def test_unit_chain_normal_form():
+    nf = ContextFreeLang(UNIT_CHAIN_300, AB).normal_form
+    assert nf.start_epsilon
+    # S_k inherits the binary productions of every S_j below it
+    assert len(nf.bin_prods["S0"]) == 2 * 300
+    assert nf.term_prods["S0"] == ["a"]
 
 
 def test_unary_grammar_decompose_degenerates():

@@ -95,6 +95,38 @@ def test_bad_spec_file(capsys, tmp_path):
     assert "SpecFileError" in capsys.readouterr().err
 
 
+def test_spec_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.fsys"
+    path.write_bytes("alphabet = a b  # caf\u00e9\n".encode("latin-1"))
+    assert run(["enum", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("SpecFileError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("document", [
+    '{"parts": ["a", "aa"]',
+    '{"parts": ["a", "aa"], "lemma": "L1", "j0": 0}',
+    '{"parts": ["a", "aa"], "pumped": [2], "lemma": "L1", "j0": 0}',
+], ids=["bad-json", "missing-key", "index-past-parts"])
+@pytest.mark.parametrize("command", ["verify", "refute-unary"])
+def test_malformed_family_file(capsys, tmp_path, bb_front_spec, document, command):
+    path = tmp_path / "family.json"
+    path.write_text(document, encoding="utf-8")
+    argv = (["verify", bb_front_spec] if command == "verify"
+            else ["refute-unary", "--predicate", "primes"])
+    assert run(argv + ["--family", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FamilyFileError: ") and err.count("\n") == 1
+
+
+def test_pump_finite_core_is_a_finite_component(capsys, tmp_path):
+    # S -> eps | S S is {eps}; a search for a base pair would try 513 lengths
+    path = tmp_path / "finite.fsys"
+    path.write_text(_spec("S -> eps | S S", "d*"), encoding="utf-8")
+    assert run(["pump", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("FiniteComponent: core language is finite")
+
+
 def test_pump_prints_family_and_verdict(capsys, bb_front_spec):
     assert run(["pump", bb_front_spec]) == 0
     out = capsys.readouterr().out

@@ -134,6 +134,13 @@ def test_pair_cap_guards_blowup():
         fs_enumerate(phi, 12, pair_cap=1000)
 
 
+def test_foreign_symbol_is_refused_before_any_slice():
+    # pair_cap=0 refuses every slice: only the alphabet check can answer
+    phi = system("(a|b)*", "(u|d)*")
+    assert fs_member(phi, "zz", pair_cap=0) is False
+    assert fs_member(phi, "az", pair_cap=0, with_witness=True) == (False, None)
+
+
 def test_finite_language_system():
     words = {"ab", "ba", "abba", ""}
     phi = finite_language_system(words)

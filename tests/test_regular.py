@@ -194,6 +194,16 @@ def test_is_infinite():
     assert not RegularLang("[]", AB).is_infinite()
 
 
+@settings(max_examples=300, deadline=None)
+@given(regex_asts("ab"))
+def test_is_infinite_matches_the_length_oracle(ast):
+    # infinite iff some length in [p, 2p) is accepted: pumping down the
+    # shortest member of length >= p leaves one of length >= p
+    lang = RegularLang.from_ast(ast, AB)
+    p = lang.pumping_length()
+    assert lang.is_infinite() == any(lang.has_length(n) for n in range(p, 2 * p))
+
+
 def test_literal_word_roundtrip():
     lang = RegularLang.from_words(["abba"], AB)
     assert lang.member("abba")
