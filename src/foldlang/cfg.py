@@ -22,7 +22,6 @@ characters, `eps` is the empty right-hand side.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -209,6 +208,15 @@ def _prune_useless(nonterminals, prods, start):
     return order, new_prods
 
 
+def _drop_nullable(rhs, nullable) -> set[tuple[str, ...]]:
+    """The distinct non-empty subsequences of rhs that keep every symbol
+    not in nullable, built one symbol at a time."""
+    kept = {()}
+    for s in rhs:
+        kept = {k + (s,) for k in kept} | (kept if s in nullable else set())
+    return kept - {()}
+
+
 def to_normal_form(g: Grammar) -> NormalFormGrammar:
     nonterminals, prods = _prune_useless(g.nonterminals, g.productions, g.start)
 
@@ -218,12 +226,7 @@ def to_normal_form(g: Grammar) -> NormalFormGrammar:
     eps_free: dict[str, set[tuple[str, ...]]] = {nt: set() for nt in nonterminals}
     for head, alts in prods.items():
         for rhs in alts:
-            opt = [i for i, s in enumerate(rhs) if s in nullable]
-            for mask in itertools.product((False, True), repeat=len(opt)):
-                drop = {opt[i] for i, d in enumerate(mask) if d}
-                new = tuple(s for i, s in enumerate(rhs) if i not in drop)
-                if new:
-                    eps_free[head].add(new)
+            eps_free[head] |= _drop_nullable(rhs, nullable)
 
     # unit-production elimination: A gets the other productions of every
     # B it reaches through A -> B steps

@@ -38,7 +38,8 @@ class FiniteComponent(FoldlangError):
 
 
 class CaseValidationFailed(FoldlangError):
-    """No j0 within the configured bound satisfies all window constraints."""
+    """No j0 up to |r|, the length of the base core string, gives windows
+    that reconstruct both strands."""
 
 
 class ResourceLimit(FoldlangError):

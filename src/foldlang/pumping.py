@@ -17,9 +17,10 @@ the common refinement of the two strands' per-step growth partitions,
 where a procedure cut sorts before an equal core cut.  A window in the
 core's first pump block sits as far left as both strands' blocks allow,
 one in a later core pump block as far right, and the odd windows are the
-gaps between them.  Correctness is enforced by an explicit reconstruction
-check (the windowed form must reproduce the strand formulas as strings,
-for several j), not by trusting the rule.
+gaps between them.  The offset j0 is the smallest one, searched up to
+|r| for a base core string r, whose windows reproduce the strand formulas
+as strings for several j: an explicit reconstruction check, not trust in
+the rule, enforces correctness.
 """
 
 from __future__ import annotations
@@ -28,15 +29,10 @@ import json
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .cfg import CfgDecomposition
 from .errors import (CaseValidationFailed, FamilyFileError, FiniteComponent,
                      FoldlangError)
 from .folding import split_updown
 from .fsystem import FSystem, equal_length_pair, fs_member
-from .regular import RegDecomposition
-
-#: Largest j0 tried before the construction gives up.
-DEFAULT_J0_BOUND = 64
 
 LEMMA_REG_REG = "L1"
 LEMMA_CF_REG = "L2cfreg"
@@ -45,19 +41,11 @@ LEMMA_CF_CF = "L3"
 
 
 # ---------------------------------------------------------------------------
-# Strand blocks: a strand at repetition index j is a concatenation of fixed
-# blocks and periodic blocks base^(mult*j + 1).
+# Strand blocks: a strand at repetition index j is a concatenation of blocks
+# base^(mult*j + 1); a fixed block has mult 0.
 
 @dataclass(frozen=True)
-class FixedBlock:
-    text: str
-
-    def at(self, j: int) -> str:
-        return self.text
-
-
-@dataclass(frozen=True)
-class PeriodicBlock:
+class Block:
     base: str
     mult: int
 
@@ -82,10 +70,8 @@ class StrandPlan:
     xi: tuple[str, ...]
     mu: tuple[str, ...]
     j0: int
-    r_blocks: tuple
-    s_blocks: tuple
-    core_decomposition: RegDecomposition | CfgDecomposition
-    proc_decomposition: RegDecomposition | CfgDecomposition
+    r_blocks: tuple[Block, ...]
+    s_blocks: tuple[Block, ...]
 
     @property
     def m(self) -> int:
@@ -145,16 +131,17 @@ class PumpFamily:
             obj = json.loads(text)
         except ValueError as exc:  # a UnicodeDecodeError included
             raise FamilyFileError(f"not JSON: {exc}") from None
+        # exact types: a JSON boolean is a Python bool, which is also an int
         shape = {"parts": list, "pumped": list, "lemma": str, "j0": int}
         if not (isinstance(obj, dict)
-                and all(isinstance(obj.get(k), t) for k, t in shape.items())):
+                and all(type(obj.get(k)) is t for k, t in shape.items())):
             raise FamilyFileError("expected an object with list parts, list pumped, "
                                   "str lemma and int j0")
         parts, pumped = obj["parts"], obj["pumped"]
         if not all(isinstance(p, str) for p in parts):
             raise FamilyFileError("parts must be strings")
-        if not all(isinstance(k, int) and 0 <= k < len(parts) for k in pumped):
-            raise FamilyFileError(f"pumped indices must lie in 0..{len(parts) - 1}")
+        if not all(type(k) is int and 0 <= k < len(parts) for k in pumped):
+            raise FamilyFileError(f"pumped indices must be integers in 0..{len(parts) - 1}")
         return cls(tuple(parts), tuple(pumped), obj["lemma"], obj["j0"])
 
 
@@ -202,20 +189,26 @@ def _carve(s: str, lens) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _search_plan(lemma, case, r_blocks, s_blocks, core_dec, proc_dec) -> StrandPlan:
-    """Try j0 = 0, 1, ... until the windowed form reproduces both strand
-    formulas exactly for j in {j0, ..., j0+3}.  align's windows tile both
-    strands by construction; the reconstruction check still gates every
-    plan."""
+def _search_plan(lemma, case, r_blocks, s_blocks) -> StrandPlan:
+    """Try j0 = 0, 1, ..., |r| until the windowed form reproduces both
+    strand formulas exactly for j in {j0, ..., j0+3}, where r is the base
+    core string.  align's windows tile both strands by construction; the
+    reconstruction check still gates every plan."""
+    # Why |r| bounds the search: at j = j0 + 1 a pumped window of width
+    # w >= 1 sits where its core and procedure blocks overlap.  Both blocks
+    # start by |r| + j*g_start and end no earlier than j*g_end, where g_start
+    # and g_end = g_start + w are the growth per step of j before and
+    # through the window, so the overlap holds the window once j0*w >= |r|.
+    # The bound can cost completeness, never soundness.
     last_problem = "no j0 produced non-negative window offsets"
-    for j0 in range(DEFAULT_J0_BOUND + 1):
+    for j0 in range(len(materialize(r_blocks, 0)) + 1):
         lens = align(r_blocks, s_blocks, j0)
         if any(l < 0 for l in lens):
             continue
         xi = _carve(materialize(r_blocks, j0 + 1), lens)
         mu = _carve(materialize(s_blocks, j0 + 1), lens)
         plan = StrandPlan(lemma, case, xi, mu, j0, tuple(r_blocks),
-                          tuple(s_blocks), core_dec, proc_dec)
+                          tuple(s_blocks))
         bad = [f"{problem} at j={j}" for j in range(j0, j0 + 4)
                for problem in _mismatches(plan, j)]
         if not bad:
@@ -281,29 +274,6 @@ def auto_plan(phi: FSystem) -> StrandPlan:
     return _plan(phi, _lemma_of(phi))
 
 
-def lemma3_case(dr: CfgDecomposition, ds: CfgDecomposition) -> str:
-    """Name of the CF,CF subcase, recorded on the plan.
-
-    A strand is "single" when one of its pump pieces is empty; otherwise the
-    products |v_r||y_s| and |v_s||y_r| pick the greater/less/equal shape.
-    """
-    core_single = not (dr.v and dr.y)
-    proc_single = not (ds.v and ds.y)
-    if core_single and proc_single:
-        return "degenerate"
-    if proc_single:
-        return "proc-single"
-    if core_single:
-        return "core-single"
-    pr = len(dr.v) * len(ds.y)
-    ps = len(ds.v) * len(dr.y)
-    if pr > ps:
-        return "greater"
-    if pr < ps:
-        return "less"
-    return "equal"
-
-
 def _plan(phi: FSystem, lemma: str) -> StrandPlan:
     """Decompose the base pair, build both strands and align them."""
     if _lemma_of(phi) != lemma:
@@ -318,19 +288,24 @@ def _plan(phi: FSystem, lemma: str) -> StrandPlan:
     r_pumps, s_pumps = r_pieces[1::2], s_pieces[1::2]
     # Each strand pumps by the other's total pump base length, so both grow
     # equally per step of j.  When both pump two pieces, k also makes every
-    # refined window a whole number of copies of each base it lies under.
-    k = 1
+    # refined window a whole number of copies of each base it lies under,
+    # and the products |v_r||y_s|, |v_s||y_r| name the CF,CF case.  A CF,CF
+    # strand left with one pump piece is "single".
+    k, case = 1, None
     if len(r_pumps) == len(s_pumps) == 2:
-        k = max(len(r_pumps[0]) * len(s_pumps[1]),
-                len(s_pumps[0]) * len(r_pumps[1]))
+        pr = len(r_pumps[0]) * len(s_pumps[1])
+        ps = len(s_pumps[0]) * len(r_pumps[1])
+        k = max(pr, ps)
+        case = "greater" if pr > ps else "less" if pr < ps else "equal"
+    elif cf_cf:
+        case = {(1, 1): "degenerate", (2, 1): "proc-single",
+                (1, 2): "core-single"}[len(r_pumps), len(s_pumps)]
     r_blocks = _strand(r_pieces, k * sum(map(len, s_pumps)))
     s_blocks = _strand(s_pieces, k * sum(map(len, r_pumps)))
-    case = lemma3_case(dr, ds) if cf_cf else None
-    return _search_plan(lemma, case, r_blocks, s_blocks, dr, ds)
+    return _search_plan(lemma, case, r_blocks, s_blocks)
 
 
-def _pieces(d: RegDecomposition | CfgDecomposition,
-            merge_empty: bool) -> tuple[str, ...]:
+def _pieces(d, merge_empty: bool) -> tuple[str, ...]:
     """d.pieces: fixed and pump pieces alternating, fixed first.  With
     merge_empty (CF/CF) an empty pump piece of (u, v, x, y, z) is folded
     into its fixed neighbours, leaving (u x, y, z) or (u, v, x z)."""
@@ -343,18 +318,18 @@ def _pieces(d: RegDecomposition | CfgDecomposition,
     return d.pieces
 
 
-def _strand(pieces: tuple[str, ...], mult: int) -> tuple:
-    return tuple(PeriodicBlock(p, mult) if k % 2 else FixedBlock(p)
-                 for k, p in enumerate(pieces))
+def _strand(pieces: tuple[str, ...], mult: int) -> tuple[Block, ...]:
+    """Fixed pieces at even positions, pump pieces at odd ones."""
+    return tuple(Block(p, mult if k % 2 else 0) for k, p in enumerate(pieces))
 
 
 def _pump_spans(blocks, j: int) -> list[tuple[int, int, int]]:
-    """(start, end, growth per step of j) of each periodic block at j."""
+    """(start, end, growth per step of j) of each pump (odd) block at j."""
     spans = []
     pos = 0
-    for b in blocks:
+    for k, b in enumerate(blocks):
         end = pos + len(b.at(j))
-        if isinstance(b, PeriodicBlock):
+        if k % 2:
             spans.append((pos, end, len(b.base) * b.mult))
         pos = end
     return spans
@@ -441,8 +416,7 @@ def verify_plan(plan: StrandPlan, phi: FSystem, j_range=None) -> VerificationRep
     return VerificationReport(tuple(checks))
 
 
-def verify_family(family: PumpFamily, phi: FSystem, i_range=None,
-                  pair_cap=None) -> VerificationReport:
+def verify_family(family: PumpFamily, phi: FSystem, i_range=None) -> VerificationReport:
     """Decide membership of the pumped string for each i via the oracle."""
     if i_range is None:
         i_range = range(0, 5)
@@ -450,10 +424,9 @@ def verify_family(family: PumpFamily, phi: FSystem, i_range=None,
     if family.pumped_total == 0:
         checks.append(CheckResult("family", -1, False,
                                   "total pumped length is 0"))
-    kwargs = {} if pair_cap is None else {"pair_cap": pair_cap}
     for i in i_range:
         w = family.assemble(i)
-        ok, witness = fs_member(phi, w, with_witness=True, **kwargs)
+        ok, witness = fs_member(phi, w, with_witness=True)
         detail = (f"member via fold({witness[0]!r}, {witness[1]!r})" if ok
                   else "not in L(Phi)")
         checks.append(CheckResult("family", i, ok, detail, string=w,

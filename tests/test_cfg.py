@@ -1,12 +1,13 @@
 """Grammar parsing, normal form, CYK membership, and CF pumping."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import example, given, settings
 
 from foldlang import Alphabet, ContextFreeLang, parse_grammar, to_normal_form
-from foldlang.cfg import _nullable_set, _prune_useless
+from foldlang.cfg import _drop_nullable, _nullable_set, _prune_useless
 from foldlang.errors import DecompositionError, GrammarSyntaxError
 
 from conftest import AB, small_grammars
@@ -277,6 +278,38 @@ UNIT_CHAIN_300 = "\n".join(f"S{k} -> a S{k + 1} | S{k + 1} S{k + 1}"
 def test_nullable_worklist_matches_the_fixpoint(text):
     prods = parse_grammar(text, AB).productions
     assert _nullable_set(prods) == naive_nullable_set(prods)
+
+
+def naive_drop_nullable(rhs, nullable):
+    """Reference: one subsequence per subset of the nullable occurrences."""
+    opt = [i for i, s in enumerate(rhs) if s in nullable]
+    out = set()
+    for mask in itertools.product((False, True), repeat=len(opt)):
+        drop = {opt[i] for i, d in enumerate(mask) if d}
+        new = tuple(s for i, s in enumerate(rhs) if i not in drop)
+        if new:
+            out.add(new)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_grammars("ab"))
+@example("S -> A B a A S B b\nA -> a | eps\nB -> A A | b")
+def test_drop_nullable_matches_the_mask_loop(text):
+    prods = parse_grammar(text, AB).productions
+    nullable = _nullable_set(prods)
+    for alts in prods.values():
+        for rhs in alts:
+            assert _drop_nullable(rhs, nullable) == naive_drop_nullable(rhs, nullable)
+
+
+def test_long_nullable_right_hand_side():
+    # the mask loop would expand 2^40 subsets; 41 subsequences are distinct
+    start = time.perf_counter()
+    lang = ContextFreeLang("S -> " + " A" * 40 + "\nA -> a | eps", AB)
+    assert lang.normal_form.start_epsilon
+    assert time.perf_counter() - start < 1.0
+    assert lang.has_length(40) and not lang.has_length(41)
 
 
 def test_unit_chain_normal_form():

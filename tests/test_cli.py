@@ -107,7 +107,11 @@ def test_spec_file_that_is_not_utf8(capsys, tmp_path):
     '{"parts": ["a", "aa"]',
     '{"parts": ["a", "aa"], "lemma": "L1", "j0": 0}',
     '{"parts": ["a", "aa"], "pumped": [2], "lemma": "L1", "j0": 0}',
-], ids=["bad-json", "missing-key", "index-past-parts"])
+    '{"parts": ["a", "b"], "pumped": [true], "lemma": "L1", "j0": false}',
+    '{"parts": ["a", "b"], "pumped": [true], "lemma": "L1", "j0": 0}',
+    '{"parts": ["a", 1], "pumped": [0], "lemma": "L1", "j0": 0}',
+], ids=["bad-json", "missing-key", "index-past-parts", "boolean-j0",
+        "boolean-index", "non-string-part"])
 @pytest.mark.parametrize("command", ["verify", "refute-unary"])
 def test_malformed_family_file(capsys, tmp_path, bb_front_spec, document, command):
     path = tmp_path / "family.json"

@@ -137,3 +137,13 @@ def test_sort_key_orders_by_symbol_index(words, order):
 def test_sort_key_rejects_foreign_symbols():
     with pytest.raises(AlphabetError, match="'c'"):
         Alphabet("ab").sort_key("abc")
+
+
+@pytest.mark.parametrize("symbols,message", [
+    ("", "non-empty"),
+    (["a", "bc"], "single characters"),
+    ("aba", "duplicate symbol 'a'"),
+], ids=["empty", "multi-character", "duplicate"])
+def test_alphabet_constructor_errors(symbols, message):
+    with pytest.raises(AlphabetError, match=message):
+        Alphabet(symbols)

@@ -31,9 +31,19 @@ L3_SYSTEMS = [
     ("degenerate", "S -> a S | eps", "S -> u S | eps"),
     ("proc-single", "S -> a S b | eps", "S -> u S | eps"),
     ("core-single", "S -> a S | eps", "S -> u S d | eps"),
+    ("core-single", "S -> S a | eps", "S -> u S d | eps"),  # empty v_r
 ]
 
 ALL_SYSTEMS = [BB_FRONT] + L2_SYSTEMS + [(c, p) for _, c, p in L3_SYSTEMS]
+
+#: CF,REG systems that need a large j0 (79..82), still below |r|, the
+#: length of the base core string
+LATE_J0_SYSTEMS = [
+    ("S -> b a S a | b a | eps", "uduu*uud"),
+    ("S -> b a S a | b a | eps", "udu*ud"),
+    ("S -> b a S a | a | eps", "uduu*uud"),
+    ("S -> a b S b | a | eps", "duu*dd"),
+]
 
 #: plan_to_family(auto_plan(phi)).to_json() for every system in ALL_SYSTEMS.
 FAMILY_JSON = {
@@ -85,6 +95,10 @@ FAMILY_JSON = {
          '"aaaaaaaaaaaaaaaaaaaaaaaaaaaaa", "", "", "", "a", "a", '
          '"aaaaaaaaaaaaaaaaaaaaaaaaaaaa"], "pumped": [1, 5, 7, 11], "lemma": '
          '"L3", "j0": 13}'),
+    ('S -> S a | eps', 'S -> u S d | eps'):
+        ('{"parts": ["", "", "aa", "", "", "a", "aaaaaaaaaaaaaa", "", "", "", '
+         '"a", "a", "aaaaaaaaaaaaaaa"], "pumped": [1, 5, 7, 11], "lemma": '
+         '"L3", "j0": 0}'),
     ('ba*a', 'S -> S u | eps'):
         ('{"parts": ["aaaaaa", "a", "", "", "ab", "", "", "", ""], "pumped": '
          '[1, 3, 5, 7], "lemma": "L2regcf", "j0": 0}'),
@@ -157,6 +171,15 @@ def test_lemma3_pipelines(case, core, proc):
         assert family.parts[3] == "" and family.parts[9] == ""
 
 
+@pytest.mark.parametrize("core,proc", LATE_J0_SYSTEMS)
+def test_late_j0_systems_plan_and_verify(core, proc):
+    phi = system(core, proc)
+    plan = auto_plan(phi)
+    assert 64 < plan.j0 <= len(materialize(plan.r_blocks, 0))
+    family = check_pipeline(phi, plan, 9)
+    assert verify_family(family, phi, range(5)).passed
+
+
 def test_auto_plan_selects_by_component_kind():
     for lemma, spec in PAIRING_SYSTEMS.items():
         assert auto_plan(system(*spec)).lemma == lemma
@@ -208,6 +231,20 @@ def test_corrupted_window_fails_reconstruction():
     bad = dataclasses.replace(plan, xi=(plan.xi[0], "zz", plan.xi[2]))
     report = verify_plan(bad, phi)
     assert not report.passed
+    longer = dataclasses.replace(plan, mu=(plan.mu[0] + "u",) + plan.mu[1:])
+    report = verify_plan(longer, phi)
+    assert all("strand lengths differ" in c.detail for c in report.checks)
+
+
+@pytest.mark.parametrize("other,problem", [
+    (("b*", "(uu)*ddd"), "r_j not in core language"),
+    (("aaaab*", "u*"), "s_j not in procedure language"),
+])
+def test_plan_fails_against_another_system(other, problem):
+    plan = lemma1_plan(system(*BB_FRONT))
+    report = verify_plan(plan, system(*other))
+    assert not report.passed
+    assert all(c.detail == problem for c in report.checks)
 
 
 def test_wrong_family_fails_verification():
