@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import DecompositionError, FoldlangError, GrammarSyntaxError
 from .folding import Alphabet
-from .graph import closure, has_cycle
+from .graph import closure, fill, has_cycle
 
 _NONTERM = re.compile(r"[A-Z][A-Za-z0-9_]*$")
 
@@ -443,6 +443,11 @@ class ContextFreeLang:
         return self._solve(self._strings, n,
                            lambda terms: tuple(sorted(terms, key=key)), join)
 
+    def count_length(self, n: int) -> int:
+        """Exact: the size of the (memoised) slice.  A count of derivations
+        would only bound it, since a grammar may be ambiguous."""
+        return len(self.enumerate_length(n)) if n >= 0 else 0
+
     def has_length(self, n: int) -> bool:
         nf = self.normal_form
         if n < 1:
@@ -464,31 +469,21 @@ class ContextFreeLang:
         return self._solve(self._least, n, lambda terms: min(terms, key=key), join)
 
     def _solve(self, memo, n, leaf, join):
-        """memo[(start, n)], filling every entry it needs children first,
-        with an explicit stack.  leaf gets A's terminals, join the (B, C)
-        results of every split of every A -> B C."""
+        """memo[(start, n)], filling every entry it needs children first.
+        leaf gets A's terminals, join the (B, C) results of every split of
+        every A -> B C."""
         nf = self.normal_form
         table = nf.lengths.upto(n)
-        stack = [(nf.start, n)]
-        while stack:
-            node = stack[-1]
-            if node in memo:
-                stack.pop()
-                continue
+
+        def parts(node):
             x, l = node
-            if l == 1:
-                memo[node] = leaf(nf.term_prods[x])
-                stack.pop()
-                continue
-            parts = [((b, s), (c, l - s)) for b, c in nf.bin_prods[x]
-                     for s in table.splits(b, c, l)]
-            todo = [k for part in parts for k in part if k not in memo]
-            if todo:
-                stack.extend(todo)
-                continue
-            memo[node] = join([(memo[p], memo[q]) for p, q in parts])
-            stack.pop()
-        return memo[(nf.start, n)]
+            return [] if l == 1 else [((b, s), (c, l - s)) for b, c in nf.bin_prods[x]
+                                      for s in table.splits(b, c, l)]
+
+        def combine(node, entries):
+            return leaf(nf.term_prods[node[0]]) if node[1] == 1 else join(entries)
+
+        return fill(memo, (nf.start, n), parts, combine)
 
     def pumping_length(self) -> int:
         """2^(k+1) for k nonterminals of the normal form."""

@@ -38,6 +38,12 @@ def render_trace(trace) -> str:
     return "\n".join(lines)
 
 
+def _word(text: str) -> str:
+    """argparse type of fold's w and v and member's w: the literal token
+    "" (two double quotes) is the empty string."""
+    return "" if text == '""' else text
+
+
 def _count(text: str) -> int:
     """argparse type of --max-len, --imax and --bound: an int >= 0."""
     if not text.isdecimal():
@@ -52,8 +58,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fold", help="fold a string under a direction string")
-    p.add_argument("w")
-    p.add_argument("v")
+    p.add_argument("w", type=_word)
+    p.add_argument("v", type=_word)
     p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("enum", help="enumerate L(Phi) up to a length")
@@ -62,7 +68,7 @@ def _build_parser():
 
     p = sub.add_parser("member", help="decide membership in L(Phi)")
     p.add_argument("spec")
-    p.add_argument("w")
+    p.add_argument("w", type=_word)
 
     p = sub.add_parser("pump", help="build and verify a pump family")
     p.add_argument("spec")

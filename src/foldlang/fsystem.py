@@ -1,25 +1,34 @@
-"""F-system semantics: the brute-force oracle for L(Phi).
+"""F-system semantics: membership and enumeration of L(Phi).
 
 An F-system pairs a core language over Sigma with a folding-procedure
 language over {u, d}; its language is every fold of an equal-length
-pair.  Each component is seen only through the `Language` protocol,
-which the regular and the context-free engine both implement.
-Everything here is decided by exhaustive pairing per length, which is
-exponential but exact at desk scale.
+pair.  Each component is seen through the `Language` protocol, which the
+regular and the context-free engine both implement.
+
+Both slices at a length are counted before either is built, and a length
+with more candidate pairs than the cap is refused.  Membership tries
+every equal-length pair, which is exponential but exact at desk scale.
+Enumeration follows the output when one side is regular: a fold grows
+its output from the middle out, so REG/REG is a forward walk over the
+product of the two DFAs, and CF/REG and REG/CF build (up-letters,
+down-letters) pair sets per normal-form nonterminal and pair of DFA
+states.  CF/CF, and enumeration with witnesses, gather every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from typing import ClassVar, Protocol
 
 from .cfg import CfgDecomposition, ContextFreeLang
 from .errors import AlphabetError, NoEqualLengthPair, ResourceLimit, SpecFileError
 from .folding import PROC_ALPHABET, Alphabet, fold, fold_permutation
+from .graph import fill
 from .regular import RegDecomposition, RegularLang
 
-#: Per-length candidate-pair cap for the exhaustive oracle.
+#: Per-length candidate-pair cap, checked from the slice counts.
 DEFAULT_PAIR_CAP = 500_000
 
 #: Search ceiling above min_len when looking for an equal-length pair.
@@ -29,7 +38,9 @@ DEFAULT_LENGTH_CEILING = 512
 class Language(Protocol):
     """What the F-system, pumping and CLI code asks of a component
     language.  RegularLang and ContextFreeLang implement it, and callers
-    tell them apart only through `context_free`."""
+    tell them apart only through `context_free`.  fs_enumerate's
+    output-following routes also read a regular engine's `automaton` and
+    a context-free engine's `normal_form`."""
 
     #: True for a context-free engine, False for a regular one; it picks
     #: the pumping lemma and the decomposition shape.
@@ -43,6 +54,9 @@ class Language(Protocol):
     def enumerate_length(self, n: int) -> tuple[str, ...]:
         """Every member of length n, lexicographic by alphabet order;
         ValueError when n < 0."""
+
+    def count_length(self, n: int) -> int:
+        """The number of members of length n, exact; 0 when n < 0."""
 
     def has_length(self, n: int) -> bool:
         """Whether some member has length n; False when n < 0."""
@@ -77,16 +91,16 @@ class FSystem:
             raise AlphabetError("procedure language must use alphabet {u, d}")
 
 
-def _pairs_at_length(phi: FSystem, n: int, pair_cap: int):
-    rs = phi.core.enumerate_length(n)
-    if not rs:
-        return (), ()
-    ss = phi.proc.enumerate_length(n)
-    if len(rs) * len(ss) > pair_cap:
+def _has_pairs(phi: FSystem, n: int, pair_cap: int) -> bool:
+    """Whether both slices at length n are non-empty, from their counts,
+    before either is built.  ResourceLimit when they give more than
+    pair_cap candidate pairs; an empty core slice gives none."""
+    nr = phi.core.count_length(n)
+    ns = phi.proc.count_length(n) if nr else 0
+    if nr * ns > pair_cap:
         raise ResourceLimit(
-            f"{len(rs)}x{len(ss)} candidate pairs at length {n} "
-            f"exceed the cap of {pair_cap}")
-    return rs, ss
+            f"{nr}x{ns} candidate pairs at length {n} exceed the cap of {pair_cap}")
+    return nr * ns > 0
 
 
 def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
@@ -96,7 +110,16 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
     With with_witnesses=True, returns a dict mapping each member to one
     witnessing (r, s) pair (the first found in enumeration order).
 
-    Each length slice is folded by gathering: fold(r, s)[k] ==
+    Both slices are counted at every length first, and ResourceLimit is
+    raised at the first length with more than pair_cap candidate pairs.
+
+    When one side is regular, the members are built by following the
+    output (`_follow_product` for REG/REG, `_follow_pairs` for CF/REG and
+    REG/CF), so the work grows with L(Phi) rather than with |core slice| x
+    |procedure slice|.  CF/CF, and witnesses (the first pair found is part
+    of the contract), gather every pair instead.
+
+    The gather folds each length slice at once: fold(r, s)[k] ==
     r[fold_permutation(s)[k]], so one itemgetter per distinct permutation
     folds every r.  Direction strings that differ only in their first step
     (it lands on an empty stack) share a permutation; the earliest is kept,
@@ -107,9 +130,15 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
+    lengths = [n for n in range(max_len + 1) if _has_pairs(phi, n, pair_cap)]
+    key = phi.core.alphabet.sort_key
+    context_free = (phi.core.context_free, phi.proc.context_free)
+    if not with_witnesses and not all(context_free):
+        follow = _follow_pairs if any(context_free) else _follow_product
+        return [w for words in follow(phi, max_len) for w in sorted(words, key=key)]
     witnesses: dict[str, tuple[str, str]] = {}
-    for n in range(max_len + 1):
-        rs, ss = _pairs_at_length(phi, n, pair_cap)
+    for n in lengths:
+        rs, ss = phi.core.enumerate_length(n), phi.proc.enumerate_length(n)
         gathers: dict[tuple[int, ...], tuple] = {}
         for s in ss:
             perm = tuple(fold_permutation(s))
@@ -123,8 +152,118 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
                     witnesses[w] = (r, s)
     if with_witnesses:
         return witnesses
-    key = phi.core.alphabet.sort_key
     return sorted(witnesses, key=lambda w: (len(w), key(w)))
+
+
+def _length_masks(auto, max_len: int) -> list[int]:
+    """Per state, bit k set iff an accepting state is reachable in
+    exactly k <= max_len steps."""
+    masks = [0] * auto.n_states
+    for k, states in enumerate(auto.within(max_len)[:max_len + 1]):
+        for q in states:
+            masks[q] |= 1 << k
+    return masks
+
+
+def _follow_product(phi: FSystem, max_len: int) -> list[set[str]]:
+    """REG/REG members of each length 0..max_len, from the two DFAs.
+
+    The reachable product is walked forward one step at a time, and each
+    product state keeps the set of fold stacks of the prefix pairs that
+    reach it: reading a on u makes a + stack, on d stack + a.  A product
+    state is dropped when no accepting pair is reachable from it in the
+    steps left; the two sides step independently, so that is a common
+    set bit of their length masks."""
+    core, proc = phi.core.automaton, phi.proc.automaton
+    live_core, live_proc = _length_masks(core, max_len), _length_masks(proc, max_len)
+    layer = {(core.start, proc.start): {""}}
+    by_length = []
+    for i in range(max_len + 1):
+        by_length.append(set().union(*[
+            stacks for (q, p), stacks in layer.items()
+            if q in core.accepting and p in proc.accepting]))
+        left = (1 << (max_len - i)) - 1  # step counts 0..max_len-i-1
+        following: dict[tuple[int, int], set[str]] = {}
+        for (q, p), stacks in layer.items():
+            up, down = proc.transitions[p]["u"], proc.transitions[p]["d"]
+            for a, r in core.transitions[q].items():
+                if live_core[r] & live_proc[up] & left:
+                    following.setdefault((r, up), set()).update(
+                        [a + stack for stack in stacks])
+                if live_core[r] & live_proc[down] & left:
+                    following.setdefault((r, down), set()).update(
+                        [stack + a for stack in stacks])
+        layer = following
+    return by_length
+
+
+def _bits(mask: int):
+    """The indices of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _follow_pairs(phi: FSystem, max_len: int) -> list[set[str]]:
+    """CF/REG and REG/CF members of each length 0..max_len.
+
+    A fold's output is its up-letters reversed, then its down-letters.  A
+    normal-form nonterminal A of the context-free side, spanning a stretch
+    that the regular side's DFA runs through from state q to state q2 in l
+    steps, yields the pairs (x, y): x the reversed up-letters of the core
+    stretch, y its down-letters.  A -> B C gives (x_C + x_B, y_B + y_C);
+    a terminal step gives (a, "") when it folds up and ("", a) when down.
+    The pair sets are built per (A, q, q2, l), deduplicated, and only for
+    the splits the length table allows and the middle states m that q
+    reaches in the left half's steps and that reach q2 in the right
+    half's; every entry built is non-empty."""
+    core_cf = phi.core.context_free
+    nf = (phi.core if core_cf else phi.proc).normal_form
+    auto = (phi.proc if core_cf else phi.core).automaton
+    table = nf.lengths.upto(max_len)
+    # reach[k][q]: bitmask of the states q reaches in exactly k steps
+    reach = [[1 << q for q in range(auto.n_states)]]
+    for _ in range(max_len):
+        prev = reach[-1]
+        reach.append([reduce(or_, [prev[r] for r in row.values()])
+                      for row in auto.transitions])
+
+    if core_cf:  # a core letter folds up or down as the procedure steps
+        def moves(t, q):
+            row = auto.transitions[q]
+            return ((row["u"], (t, "")), (row["d"], ("", t)))
+    else:  # a procedure step folds each core letter up or down
+        def moves(t, q):
+            return [(r, (a, "") if t == "u" else ("", a))
+                    for a, r in auto.transitions[q].items()]
+
+    def parts(node):
+        a, q, q2, l = node
+        if l == 1:
+            return []
+        return [((b, q, m, s), (c, m, q2, l - s))
+                for b, c in nf.bin_prods[a] for s in table.splits(b, c, l)
+                for m in _bits(reach[s][q]) if reach[l - s][m] >> q2 & 1]
+
+    def combine(node, entries):
+        a, q, q2, l = node
+        if l == 1:
+            return {pair for t in nf.term_prods[a] for r, pair in moves(t, q) if r == q2}
+        return {(xc + xb, yb + yc)
+                for left, right in entries for xb, yb in left for xc, yc in right}
+
+    memo: dict[tuple, set[tuple[str, str]]] = {}
+    by_length = [{""} if nf.start_epsilon and auto.start in auto.accepting else set()]
+    for n in range(1, max_len + 1):
+        words: set[str] = set()
+        if table.bits[nf.start] >> n & 1:
+            for f in _bits(reach[n][auto.start]):
+                if f in auto.accepting:
+                    words.update(x + y for x, y in fill(
+                        memo, (nf.start, auto.start, f, n), parts, combine))
+        by_length.append(words)
+    return by_length
 
 
 def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
@@ -132,8 +271,9 @@ def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
     """Decide w in L(Phi) by exhausting equal-length pairs at |w|.  A fold
     permutes r, so a w with a symbol outside the core alphabet is refused
     before any slice is built."""
-    rs, ss = (_pairs_at_length(phi, len(w), pair_cap)
-              if all(ch in phi.core.alphabet for ch in w) else ((), ()))
+    rs = ss = ()
+    if all(ch in phi.core.alphabet for ch in w) and _has_pairs(phi, len(w), pair_cap):
+        rs, ss = phi.core.enumerate_length(len(w)), phi.proc.enumerate_length(len(w))
     for r in rs:
         for s in ss:
             if fold(r, s) == w:

@@ -11,11 +11,13 @@ columns.  A finite word set skips the regex compile: `from_words` builds
 the words' prefix tree and minimizes it.  The pumping decomposition is
 taken at the first repeated state along the run.
 
-Each automaton keeps one length table, grown on demand: within[k] holds
-the states from which an accepting state is reachable in exactly k steps.
-Enumeration, `has_length` and `smallest_of_length` read it.  Nothing
-recurses: the parser, the compile, the enumeration and `is_infinite` use
-explicit stacks or worklists.
+Each automaton keeps two length tables, grown on demand: within[k] holds
+the states from which an accepting state is reachable in exactly k steps,
+and word_counts[k] the number of length-k words that lead the start to
+each state.  Enumeration, `has_length` and `smallest_of_length` read the
+first; `count_length` reads the second, so a slice is counted exactly
+before it is built.  Nothing recurses: the parser, the compile, the
+enumeration and `is_infinite` use explicit stacks or worklists.
 
 Concrete regex syntax: single-character literals, `|` union (lowest
 precedence), juxtaposition for concatenation, postfix `*` `+` `?`,
@@ -208,7 +210,8 @@ class Automaton:
 
     States are 0..n-1; transitions is a list of per-state dicts mapping
     every alphabet symbol to a state.  The language is fixed at
-    construction; the length table (`within`) is grown on demand."""
+    construction; the length tables (`within`, `word_counts`) are grown on
+    demand."""
 
     def __init__(self, alphabet: Alphabet, transitions, start: int, accepting):
         self.alphabet = alphabet
@@ -222,6 +225,7 @@ class Automaton:
             for r in t.values():
                 self._preds[r].add(q)
         self._within: list[frozenset[int]] = [self.accepting]
+        self._counts: list[dict[int, int]] = [{start: 1}]
 
     @property
     def n_states(self) -> int:
@@ -255,6 +259,20 @@ class Automaton:
         table, preds = self._within, self._preds
         while len(table) <= n:
             table.append(frozenset().union(*[preds[r] for r in table[-1]]))
+        return table
+
+    def word_counts(self, n: int) -> list[dict[int, int]]:
+        """The word count table grown to cover n: word_counts[k] maps each
+        state that a length-k word leads the start to, to the number of such
+        words.  The automaton is deterministic, so runs are words."""
+        table, transitions = self._counts, self.transitions
+        while len(table) <= n:
+            counts: dict[int, int] = {}
+            get = counts.get
+            for q, c in table[-1].items():
+                for r in transitions[q].values():
+                    counts[r] = get(r, 0) + c
+            table.append(counts)
         return table
 
 
@@ -412,6 +430,13 @@ class RegularLang:
             else:
                 out.extend(prefix + s for s in symbols if row[s] in accepting)
         return tuple(out)
+
+    def count_length(self, n: int) -> int:
+        """Exact, from the DFA's word counts; no string is built."""
+        if n < 0:
+            return 0
+        accepting = self.automaton.accepting
+        return sum(c for q, c in self.automaton.word_counts(n)[n].items() if q in accepting)
 
     def has_length(self, n: int) -> bool:
         return n >= 0 and self.automaton.start in self.automaton.within(n)[n]

@@ -60,6 +60,15 @@ def test_fold_empty(capsys):
     assert capsys.readouterr().out.strip() == ""
 
 
+def test_empty_string_token(capsys, tmp_path):
+    assert run(["fold", '""', '""']) == 0
+    assert capsys.readouterr().out == "\n"
+    path = tmp_path / "anbn.fsys"
+    path.write_text(_spec("S -> a S b | eps", "S -> u S d | eps"), encoding="utf-8")
+    assert run(["member", str(path), '""']) == 0
+    assert capsys.readouterr().out == "member: fold('', '')\n"
+
+
 def test_fold_length_mismatch_is_domain_error(capsys):
     assert run(["fold", "ab", "u"]) == 1
     assert "UndefinedFold" in capsys.readouterr().err
@@ -239,7 +248,8 @@ def _sha(text):
 
 #: The twelve benchmark corpus systems as (core, procedure, --max-len):
 #: the dense ones at the low end of their enum range, the demo systems
-#: at 24.  Each maps to the sha256 of `foldlang enum` stdout.
+#: at 24, and the five dense ones with a regular side at the top of their
+#: range.  Each maps to the sha256 of `foldlang enum` stdout.
 ENUM_PINS = {
     ("a*b*", "(u|d)*", 8):
         "c26c976675c2bcbf31e5b330cde647612b08f7026eddbeb428a0ebe2d5b6c163",
@@ -265,6 +275,16 @@ ENUM_PINS = {
         "d4a11928268f3de7a62882274b542b44b530b4e5522fe9f3c641c9ddcc15ce6f",
     ("S -> a S | eps", "S -> u S | eps", 24):
         "5cc080cfa56655e1427ea32e93f2fe1883051c4a8f80cd120af6c0c3d245b796",
+    ("a*b*", "(u|d)*", 11):
+        "569d1c30f36b786d36a6885b95d1d75bfa4da3056f7b23ad87cfa3847f0f8f3e",
+    ("(ab)*", "(u|d)*", 14):
+        "c750dbe50bca9cf135735e1668166250a1cb841c11a8ace225befbafc6b99d85",
+    ("(a|b)*", "(u|d)*", 8):
+        "e9773c7649ad3c564c7a797bd384b00d2f65c836aa7f711e0bbc03a75bf1cb47",
+    ("S -> a S b S | eps", "(u|d)*", 11):
+        "ded000fd87e53bb6d0f0c52a8e64f29e3c543c9ae427644ce724b572e2a69588",
+    ("(a|b)*", "S -> u S d S | eps", 11):
+        "4b5a8f03b0dd5ed0c20b1cb30b8bcd7938de27cf067b7b692c4ac1cb43652110",
 }
 
 #: Seeded finite-language round trips, (seed, size, symbols), each

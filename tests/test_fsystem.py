@@ -57,6 +57,9 @@ def test_gathered_enumeration_matches_pairwise_folds(core, proc):
     phi = system(core, proc)
     got = fs_enumerate(phi, 9, with_witnesses=True)
     assert list(got.items()) == list(pairwise_witnesses(phi, 9).items())
+    # the plain listing takes the output-following route when one side is
+    # regular and the procedure has several strings at some length
+    assert fs_enumerate(phi, 9) == sorted(got, key=lambda w: (len(w), AB.sort_key(w)))
 
 
 def languages(alphabet, context_free):
@@ -132,6 +135,20 @@ def test_pair_cap_guards_blowup():
     phi = system("(a|b)*", "(u|d)*")
     with pytest.raises(ResourceLimit):
         fs_enumerate(phi, 12, pair_cap=1000)
+
+
+def test_pair_cap_is_checked_from_counts(monkeypatch):
+    def build_slice(self, n):
+        raise AssertionError(f"slice {n} built")
+
+    monkeypatch.setattr(RegularLang, "enumerate_length", build_slice)
+    phi = system("(a|b)*", "(u|d)*")
+    with pytest.raises(ResourceLimit, match="^1048576x1048576 candidate pairs at length 20 "):
+        fs_member(phi, "ab" * 10)
+    with pytest.raises(ResourceLimit, match="^16x16 candidate pairs at length 4 "):
+        fs_enumerate(phi, 9, pair_cap=100)
+    # an empty core slice has no pairs, whatever the procedure's size
+    assert fs_member(system("(aa)*", "(u|d)*"), "a" * 21, pair_cap=0) is False
 
 
 def test_foreign_symbol_is_refused_before_any_slice():

@@ -26,12 +26,14 @@ def test_engines_agree_on_every_query(regex, grammar):
     for n in range(-1, 9):
         assert reg.has_length(n) == cf.has_length(n)
         assert reg.smallest_of_length(n) == cf.smallest_of_length(n)
+        assert reg.count_length(n) == cf.count_length(n)
         if n < 0:
             for lang in (reg, cf):
                 with pytest.raises(ValueError):
                     lang.enumerate_length(n)
             continue
         assert reg.enumerate_length(n) == cf.enumerate_length(n)
+        assert reg.count_length(n) == len(reg.enumerate_length(n))
         for w in map("".join, itertools.product("abc", repeat=n)):
             assert reg.member(w) == cf.member(w), w
 

@@ -109,6 +109,7 @@ def test_position_automaton_matches_oracles(ast):
         expect = [w for w in words if match_backtrack(ast, w)]
         assert [w for w in words if lang.member(w)] == expect
         assert list(lang.enumerate_length(n)) == expect
+        assert lang.count_length(n) == len(expect)
         assert list(reversed_order.enumerate_length(n)) == sorted(expect, key=BA.sort_key)
         assert lang.has_length(n) == reversed_order.has_length(n) == bool(expect)
         assert lang.smallest_of_length(n) == (expect[0] if expect else None)
@@ -160,6 +161,13 @@ def test_decompose_rejects_short_or_foreign_strings():
 
 def test_long_enumeration_needs_no_recursion():
     assert RegularLang("a*", AB).enumerate_length(3000) == ("a" * 3000,)
+
+
+def test_counts_need_no_slice():
+    lang = RegularLang("(a|b)*b(a|b)", AB)
+    assert lang.count_length(-1) == lang.count_length(1) == 0
+    assert lang.count_length(2) == 2
+    assert lang.count_length(200) == 2 ** 199
 
 
 def test_deep_ast_compiles_without_recursion():
