@@ -296,7 +296,7 @@ def equal_length_pair(phi: FSystem, min_len: int,
 
 def finite_language_system(words) -> FSystem:
     """F-system whose language is exactly the given finite word set:
-    Phi = (union of the words, d*), the core built from their prefix tree."""
+    Phi = (union of the words, d*), the core their minimal DFA (`from_words`)."""
     words = set(words)
     alphabet = Alphabet(sorted({ch for w in words for ch in w}) or ["a"])
     core = RegularLang.from_words(words, alphabet)

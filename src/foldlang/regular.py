@@ -8,8 +8,10 @@ position automaton (one position per literal, no epsilon edges), runs the
 subset construction over it with each state's follow positions bucketed
 by symbol, and minimizes by Moore refinement over per-symbol target
 columns.  A finite word set skips the regex compile: `from_words` builds
-the words' prefix tree and minimizes it.  The pumping decomposition is
-taken at the first repeated state along the run.
+its minimal DFA directly, one word at a time in sorted order, merging each
+finished branch into a register of the states already built, so the work
+after the sort is linear in the words' total length.  The pumping
+decomposition is taken at the first repeated state along the run.
 
 Each automaton keeps two length tables, grown on demand: within[k] holds
 the states from which an accepting state is reachable in exactly k steps,
@@ -218,18 +220,26 @@ class Automaton:
         self.transitions = tuple(dict(t) for t in transitions)
         self.start = start
         self.accepting = frozenset(accepting)
-        self._preds: list[set[int]] = [set() for _ in self.transitions]
-        for q, t in enumerate(self.transitions):
-            if t.keys() != set(alphabet.symbols):
+        symbols = set(alphabet.symbols)
+        for t in self.transitions:
+            if t.keys() != symbols:
                 raise FoldlangError("automaton must be complete")
-            for r in t.values():
-                self._preds[r].add(q)
+        self._preds: list[set[int]] | None = None
         self._within: list[frozenset[int]] = [self.accepting]
         self._counts: list[dict[int, int]] = [{start: 1}]
 
     @property
     def n_states(self) -> int:
         return len(self.transitions)
+
+    def _predecessors(self) -> list[set[int]]:
+        """Predecessors of each state, built on the first backward query."""
+        if self._preds is None:
+            self._preds = [set() for _ in self.transitions]
+            for q, t in enumerate(self.transitions):
+                for r in t.values():
+                    self._preds[r].add(q)
+        return self._preds
 
     def run(self, w: str) -> list[int]:
         """State sequence visited on w, length |w|+1."""
@@ -245,7 +255,7 @@ class Automaton:
     def _live_states(self) -> set[int]:
         """Reachable states from which an accepting state is reachable."""
         reach = closure([self.start], lambda q: self.transitions[q].values())
-        return reach & closure(self.accepting, self._preds.__getitem__)
+        return reach & closure(self.accepting, self._predecessors().__getitem__)
 
     def is_infinite(self) -> bool:
         """True iff the accepted language is infinite: a live state lies on
@@ -256,7 +266,7 @@ class Automaton:
     def within(self, n: int) -> list[frozenset[int]]:
         """The length table grown to cover n: within[k] holds the states
         from which some accepting state is reachable in exactly k steps."""
-        table, preds = self._within, self._preds
+        table, preds = self._within, self._predecessors()
         while len(table) <= n:
             table.append(frozenset().union(*[preds[r] for r in table[-1]]))
         return table
@@ -277,38 +287,27 @@ class Automaton:
 
 
 def compile_ast(ast: RegexAst, alphabet: Alphabet) -> Automaton:
-    """Compile an AST to a complete DFA, minimized: subset construction
+    """Compile an AST to a minimal complete DFA.  The subset construction
     over the position automaton, each state's follow positions bucketed by
-    symbol."""
+    symbol, numbers the subsets breadth-first from start 0; Moore
+    refinement over per-symbol target columns then merges them.  Blocks are
+    numbered by their first state, so the result is numbered breadth-first
+    as well."""
     sym, follow, finals = _positions(ast, alphabet)
-
-    def targets(state):
+    start = frozenset([0])
+    number, order = {start: 0}, [start]
+    columns: list[list[int]] = [[] for _ in alphabet.symbols]
+    for state in order:  # order grows while it is walked
         buckets: list[list[int]] = [[] for _ in alphabet.symbols]
         for p in state:
             for q in follow[p]:
                 buckets[sym[q]].append(q)
-        return map(frozenset, buckets)
-
-    return _minimize(alphabet, frozenset([0]), targets,
-                     lambda state: not state.isdisjoint(finals))
-
-
-def _minimize(alphabet: Alphabet, start, targets, accepts) -> Automaton:
-    """Minimal complete DFA of the automaton reachable from start, where
-    targets(node) gives node's successors in alphabet order and
-    accepts(node) whether it accepts.  The nodes are numbered breadth-first
-    from start 0, then refined (Moore) over per-symbol target columns.
-    Blocks are numbered by their first state, so the result is numbered
-    breadth-first as well."""
-    number, order = {start: 0}, [start]
-    columns: list[list[int]] = [[] for _ in alphabet.symbols]
-    for node in order:  # order grows while it is walked
-        for column, nxt in zip(columns, targets(node)):
+        for column, nxt in zip(columns, map(frozenset, buckets)):
             if nxt not in number:
                 number[nxt] = len(order)
                 order.append(nxt)
             column.append(number[nxt])
-    accepting = [accepts(node) for node in order]
+    accepting = [not state.isdisjoint(finals) for state in order]
     block = accepting
     count = len(set(block))
     while True:
@@ -373,23 +372,40 @@ class RegularLang:
 
     @classmethod
     def from_words(cls, words, alphabet: Alphabet) -> "RegularLang":
-        """The words' finite language, no regex: their prefix tree (dead
-        node None), minimized."""
-        rank = {s: k for k, s in enumerate(alphabet.symbols)}
-        trie = {0: [None] * len(rank), None: [None] * len(rank)}  # child per symbol
-        final = set()
-        for w in words:
-            node = 0
-            for ch in alphabet.validate(w):
-                row = trie[node]
-                node = row[rank[ch]]
-                if node is None:
-                    node = row[rank[ch]] = len(trie)
-                    trie[node] = [None] * len(rank)
-            final.add(node)
+        """The words' finite language, no regex: its minimal DFA, built in
+        one pass over the distinct words in sort-key order (Daciuk et al.,
+        Computational Linguistics 2000).  The states along the current word
+        are open, each a list [final, child per symbol].  Where the next
+        word branches off, the open states it leaves are replaced, deepest
+        first, by their registered equals, keyed on that list with 0 the
+        dead state.  The states are then numbered breadth-first."""
+        blank = [False] + [0] * len(alphabet)
+        register = {tuple(blank): 0}
+        path = [blank[:]]
+        keys = sorted({alphabet.sort_key(w) for w in words})  # chr(symbol index)
+        for word, after in zip(keys, keys[1:] + [""]):
+            path += [blank[:] for _ in word[len(path) - 1:]]
+            path[-1][0] = True
+            common, stop = 0, min(len(word), len(after))
+            while common < stop and word[common] == after[common]:
+                common += 1
+            while len(path) > common + 1:
+                state = tuple(path.pop())
+                path[-1][1 + ord(word[len(path) - 1])] = register.setdefault(state, len(register))
+        order = [register.setdefault(tuple(path[0]), len(register))]
+        states = list(register)  # by id, as ids follow insertion order
+        number = {order[0]: 0}
+        for q in order:  # order grows while it is walked
+            for r in states[q][1:]:
+                if r not in number:
+                    number[r] = len(order)
+                    order.append(r)
         obj = cls.__new__(cls)
         obj.regex, obj.alphabet, obj.ast = None, alphabet, None
-        obj.automaton = _minimize(alphabet, 0, trie.__getitem__, final.__contains__)
+        obj.automaton = Automaton(
+            alphabet, [dict(zip(alphabet.symbols, map(number.__getitem__, states[q][1:])))
+                       for q in order],
+            0, {number[q] for q in order if states[q][0]})
         return obj
 
     def member(self, w: str) -> bool:
@@ -401,7 +417,7 @@ class RegularLang:
                 return False
         return q in self.automaton.accepting
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=128)
     def enumerate_length(self, n: int) -> tuple[str, ...]:
         """Depth-first with an explicit stack, pruning prefixes that cannot
         reach an accepting state in the remaining number of steps."""

@@ -93,6 +93,26 @@ def test_member(capsys, bb_front_spec):
     assert "not a member" in capsys.readouterr().out
 
 
+#: One corpus system per pairing (REG/REG, CF/REG, REG/CF, CF/CF), a member
+#: word, and the witness `member` prints: the first core string in core
+#: order, then the first procedure string, that folds to the word.
+MEMBER_LINES = [
+    ("aaaab*", "(uu)*ddd", "aaaabbb", "member: fold('aaaabbb', 'uuuuddd')"),
+    ("S -> a S b S | eps", "(u|d)*", "abab", "member: fold('abab', 'uuud')"),
+    ("(a|b)*", "S -> u S d S | eps", "abab", "member: fold('baab', 'uudd')"),
+    ("S -> a S b S | eps", "S -> u S d S | eps", "bbaaab",
+     "member: fold('aababb', 'ududud')"),
+]
+
+
+@pytest.mark.parametrize("core,proc,word,line", MEMBER_LINES)
+def test_member_witness_line(capsys, tmp_path, core, proc, word, line):
+    path = tmp_path / "system.fsys"
+    path.write_text(_spec(core, proc), encoding="utf-8")
+    assert run(["member", str(path), word]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_missing_spec_file(capsys):
     assert run(["enum", "/nonexistent/x.fsys"]) == 1
 
