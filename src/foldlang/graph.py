@@ -1,5 +1,6 @@
 """Graph worklists shared by the engines and the F-system code:
-reachability, the cycle test and memoised evaluation over a DAG.
+reachability, breadth-first numbering, the cycle test and memoised
+evaluation over a DAG.
 
 None of them recurses, so chain length is not bounded by the Python stack.
 """
@@ -18,6 +19,22 @@ def closure(seeds, successors) -> set:
                 seen.add(r)
                 frontier.append(r)
     return seen
+
+
+def breadth_first(start, successors) -> tuple[list, list[list[int]]]:
+    """The nodes reachable from start, numbered breadth-first from start 0
+    with each node's successors taken in the order successors(node) lists
+    them, and for each node in that order its successors' numbers."""
+    number, order, rows = {start: 0}, [start], []
+    for node in order:  # order grows while it is walked
+        row = []
+        for nxt in successors(node):
+            if nxt not in number:
+                number[nxt] = len(order)
+                order.append(nxt)
+            row.append(number[nxt])
+        rows.append(row)
+    return order, rows
 
 
 def has_cycle(succ) -> bool:

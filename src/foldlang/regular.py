@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .errors import DecompositionError, FoldlangError, RegexSyntaxError
 from .folding import Alphabet
-from .graph import closure, has_cycle
+from .graph import breadth_first, closure, has_cycle
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +221,18 @@ class Automaton:
         self.start = start
         self.accepting = frozenset(accepting)
         symbols = set(alphabet.symbols)
-        for t in self.transitions:
+        self._preds: list[set[int]] = [set() for _ in self.transitions]
+        for q, t in enumerate(self.transitions):
             if t.keys() != symbols:
                 raise FoldlangError("automaton must be complete")
-        self._preds: list[set[int]] | None = None
+            for r in t.values():
+                self._preds[r].add(q)
         self._within: list[frozenset[int]] = [self.accepting]
         self._counts: list[dict[int, int]] = [{start: 1}]
 
     @property
     def n_states(self) -> int:
         return len(self.transitions)
-
-    def _predecessors(self) -> list[set[int]]:
-        """Predecessors of each state, built on the first backward query."""
-        if self._preds is None:
-            self._preds = [set() for _ in self.transitions]
-            for q, t in enumerate(self.transitions):
-                for r in t.values():
-                    self._preds[r].add(q)
-        return self._preds
 
     def run(self, w: str) -> list[int]:
         """State sequence visited on w, length |w|+1."""
@@ -255,7 +248,7 @@ class Automaton:
     def _live_states(self) -> set[int]:
         """Reachable states from which an accepting state is reachable."""
         reach = closure([self.start], lambda q: self.transitions[q].values())
-        return reach & closure(self.accepting, self._predecessors().__getitem__)
+        return reach & closure(self.accepting, self._preds.__getitem__)
 
     def is_infinite(self) -> bool:
         """True iff the accepted language is infinite: a live state lies on
@@ -266,7 +259,7 @@ class Automaton:
     def within(self, n: int) -> list[frozenset[int]]:
         """The length table grown to cover n: within[k] holds the states
         from which some accepting state is reachable in exactly k steps."""
-        table, preds = self._within, self._predecessors()
+        table, preds = self._within, self._preds
         while len(table) <= n:
             table.append(frozenset().union(*[preds[r] for r in table[-1]]))
         return table
@@ -294,19 +287,16 @@ def compile_ast(ast: RegexAst, alphabet: Alphabet) -> Automaton:
     numbered by their first state, so the result is numbered breadth-first
     as well."""
     sym, follow, finals = _positions(ast, alphabet)
-    start = frozenset([0])
-    number, order = {start: 0}, [start]
-    columns: list[list[int]] = [[] for _ in alphabet.symbols]
-    for state in order:  # order grows while it is walked
+
+    def targets(state):
         buckets: list[list[int]] = [[] for _ in alphabet.symbols]
         for p in state:
             for q in follow[p]:
                 buckets[sym[q]].append(q)
-        for column, nxt in zip(columns, map(frozenset, buckets)):
-            if nxt not in number:
-                number[nxt] = len(order)
-                order.append(nxt)
-            column.append(number[nxt])
+        return map(frozenset, buckets)
+
+    order, rows = breadth_first(frozenset([0]), targets)
+    columns = list(zip(*rows))  # per symbol, each state's target
     accepting = [not state.isdisjoint(finals) for state in order]
     block = accepting
     count = len(set(block))
@@ -392,20 +382,14 @@ class RegularLang:
             while len(path) > common + 1:
                 state = tuple(path.pop())
                 path[-1][1 + ord(word[len(path) - 1])] = register.setdefault(state, len(register))
-        order = [register.setdefault(tuple(path[0]), len(register))]
+        root = register.setdefault(tuple(path[0]), len(register))
         states = list(register)  # by id, as ids follow insertion order
-        number = {order[0]: 0}
-        for q in order:  # order grows while it is walked
-            for r in states[q][1:]:
-                if r not in number:
-                    number[r] = len(order)
-                    order.append(r)
+        order, rows = breadth_first(root, lambda q: states[q][1:])
         obj = cls.__new__(cls)
         obj.regex, obj.alphabet, obj.ast = None, alphabet, None
         obj.automaton = Automaton(
-            alphabet, [dict(zip(alphabet.symbols, map(number.__getitem__, states[q][1:])))
-                       for q in order],
-            0, {number[q] for q in order if states[q][0]})
+            alphabet, [dict(zip(alphabet.symbols, row)) for row in rows],
+            0, {n for n, q in enumerate(order) if states[q][0]})
         return obj
 
     def member(self, w: str) -> bool:
