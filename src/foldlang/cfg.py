@@ -217,6 +217,18 @@ def _drop_nullable(rhs, nullable) -> set[tuple[str, ...]]:
     return kept - {()}
 
 
+def _binarize(head, rhs, bin_prods, suffix_nt, fresh) -> None:
+    """Binary productions for head -> rhs (len >= 2): head -> rhs[0] X,
+    X -> rhs[1] X1, ..., down to a link onto the last two symbols.  Each
+    suffix gets one nonterminal, shared through suffix_nt; a new one is
+    named fresh("X"), outermost first.  A loop, one link per symbol."""
+    while len(rhs) > 2 and rhs[1:] not in suffix_nt:
+        suffix_nt[rhs[1:]] = fresh("X")
+        bin_prods[head].append((rhs[0], suffix_nt[rhs[1:]]))
+        head, rhs = suffix_nt[rhs[1:]], rhs[1:]
+    bin_prods[head].append(rhs if len(rhs) == 2 else (rhs[0], suffix_nt[rhs[1:]]))
+
+
 def to_normal_form(g: Grammar) -> NormalFormGrammar:
     nonterminals, prods = _prune_useless(g.nonterminals, g.productions, g.start)
 
@@ -263,28 +275,12 @@ def to_normal_form(g: Grammar) -> NormalFormGrammar:
             term_nt[sym] = nt
         return term_nt[sym]
 
-    def chain(symbols):
-        """Nonterminal deriving the given symbol sequence (len >= 2)."""
-        if symbols in suffix_nt:
-            return suffix_nt[symbols]
-        nt = fresh("X")
-        suffix_nt[symbols] = nt
-        if len(symbols) == 2:
-            bin_prods[nt].append((symbols[0], symbols[1]))
-        else:
-            bin_prods[nt].append((symbols[0], chain(symbols[1:])))
-        return nt
-
     for a in nonterminals:
         for rhs in sorted(no_unit[a]):
             if len(rhs) == 1:
                 term_prods[a].append(rhs[0])
             else:
-                lifted = tuple(lift(s) for s in rhs)
-                if len(lifted) == 2:
-                    bin_prods[a].append(lifted)
-                else:
-                    bin_prods[a].append((lifted[0], chain(lifted[1:])))
+                _binarize(a, tuple(lift(s) for s in rhs), bin_prods, suffix_nt, fresh)
 
     # the eliminations can leave nonterminals that are unreachable or
     # derive nothing; the start symbol too, when it derives only epsilon

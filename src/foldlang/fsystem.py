@@ -92,15 +92,16 @@ class FSystem:
 
 
 def _has_pairs(phi: FSystem, n: int, pair_cap: int) -> bool:
-    """Whether both slices at length n are non-empty, from their counts,
-    before either is built.  ResourceLimit when they give more than
-    pair_cap candidate pairs; an empty core slice gives none."""
-    nr = phi.core.count_length(n)
-    ns = phi.proc.count_length(n) if nr else 0
+    """Whether both slices at length n are non-empty, read from the length
+    tables.  Only then are both slices counted, before either is built:
+    ResourceLimit when they give more than pair_cap candidate pairs."""
+    if not (phi.core.has_length(n) and phi.proc.has_length(n)):
+        return False
+    nr, ns = phi.core.count_length(n), phi.proc.count_length(n)
     if nr * ns > pair_cap:
         raise ResourceLimit(
             f"{nr}x{ns} candidate pairs at length {n} exceed the cap of {pair_cap}")
-    return nr * ns > 0
+    return True
 
 
 def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
@@ -159,8 +160,8 @@ def _length_masks(auto, max_len: int) -> list[int]:
     """Per state, bit k set iff an accepting state is reachable in
     exactly k <= max_len steps."""
     masks = [0] * auto.n_states
-    for k, states in enumerate(auto.within(max_len)[:max_len + 1]):
-        for q in states:
+    for k, row in enumerate(auto.counts(max_len)[:max_len + 1]):
+        for q in row:
             masks[q] |= 1 << k
     return masks
 

@@ -13,13 +13,13 @@ finished branch into a register of the states already built, so the work
 after the sort is linear in the words' total length.  The pumping
 decomposition is taken at the first repeated state along the run.
 
-Each automaton keeps two length tables, grown on demand: within[k] holds
-the states from which an accepting state is reachable in exactly k steps,
-and word_counts[k] the number of length-k words that lead the start to
-each state.  Enumeration, `has_length` and `smallest_of_length` read the
-first; `count_length` reads the second, so a slice is counted exactly
-before it is built.  Nothing recurses: the parser, the compile, the
-enumeration and `is_infinite` use explicit stacks or worklists.
+Each automaton keeps one length table, grown on demand: counts[k] maps
+each state from which some length-k word leads to acceptance to the
+number of such words.  Every length query reads it: `has_length` and
+`count_length` look up the start state, and enumeration and
+`smallest_of_length` prune with it, so a slice is counted exactly before
+it is built.  Nothing recurses: the parser, the compile, the enumeration
+and `is_infinite` use explicit stacks or worklists.
 
 Concrete regex syntax: single-character literals, `|` union (lowest
 precedence), juxtaposition for concatenation, postfix `*` `+` `?`,
@@ -212,8 +212,7 @@ class Automaton:
 
     States are 0..n-1; transitions is a list of per-state dicts mapping
     every alphabet symbol to a state.  The language is fixed at
-    construction; the length tables (`within`, `word_counts`) are grown on
-    demand."""
+    construction; the length table (`counts`) is grown on demand."""
 
     def __init__(self, alphabet: Alphabet, transitions, start: int, accepting):
         self.alphabet = alphabet
@@ -221,14 +220,13 @@ class Automaton:
         self.start = start
         self.accepting = frozenset(accepting)
         symbols = set(alphabet.symbols)
-        self._preds: list[set[int]] = [set() for _ in self.transitions]
+        self._preds: list[list[int]] = [[] for _ in self.transitions]  # one per edge
         for q, t in enumerate(self.transitions):
             if t.keys() != symbols:
                 raise FoldlangError("automaton must be complete")
             for r in t.values():
-                self._preds[r].add(q)
-        self._within: list[frozenset[int]] = [self.accepting]
-        self._counts: list[dict[int, int]] = [{start: 1}]
+                self._preds[r].append(q)
+        self._counts: list[dict[int, int]] = [dict.fromkeys(self.accepting, 1)]
 
     @property
     def n_states(self) -> int:
@@ -256,26 +254,19 @@ class Automaton:
         live = self._live_states()
         return has_cycle({q: set(self.transitions[q].values()) & live for q in live})
 
-    def within(self, n: int) -> list[frozenset[int]]:
-        """The length table grown to cover n: within[k] holds the states
-        from which some accepting state is reachable in exactly k steps."""
-        table, preds = self._within, self._preds
+    def counts(self, n: int) -> list[dict[int, int]]:
+        """The length table grown to cover n: counts[k] maps each state from
+        which some length-k word leads to acceptance to the number of such
+        words.  A row sums the next row over the predecessor edges, so two
+        symbols into the same state count twice."""
+        table, preds = self._counts, self._preds
         while len(table) <= n:
-            table.append(frozenset().union(*[preds[r] for r in table[-1]]))
-        return table
-
-    def word_counts(self, n: int) -> list[dict[int, int]]:
-        """The word count table grown to cover n: word_counts[k] maps each
-        state that a length-k word leads the start to, to the number of such
-        words.  The automaton is deterministic, so runs are words."""
-        table, transitions = self._counts, self.transitions
-        while len(table) <= n:
-            counts: dict[int, int] = {}
-            get = counts.get
-            for q, c in table[-1].items():
-                for r in transitions[q].values():
-                    counts[r] = get(r, 0) + c
-            table.append(counts)
+            row: dict[int, int] = {}
+            get = row.get
+            for r, c in table[-1].items():
+                for q in preds[r]:
+                    row[q] = get(q, 0) + c
+            table.append(row)
         return table
 
 
@@ -408,8 +399,8 @@ class RegularLang:
         if n < 0:
             raise ValueError("n must be >= 0")
         auto = self.automaton
-        within = auto.within(n)
-        if auto.start not in within[n]:
+        counts = auto.counts(n)
+        if auto.start not in counts[n]:
             return ()
         if n == 0:
             return ("",)
@@ -423,7 +414,7 @@ class RegularLang:
             row = transitions[q]
             remaining = n - len(prefix) - 1
             if remaining:
-                live = within[remaining]
+                live = counts[remaining]
                 for s in backwards:
                     if row[s] in live:
                         stack.append((prefix + s, row[s]))
@@ -432,27 +423,24 @@ class RegularLang:
         return tuple(out)
 
     def count_length(self, n: int) -> int:
-        """Exact, from the DFA's word counts; no string is built."""
-        if n < 0:
-            return 0
-        accepting = self.automaton.accepting
-        return sum(c for q, c in self.automaton.word_counts(n)[n].items() if q in accepting)
+        """Exact, from the length table; no string is built."""
+        return self.automaton.counts(n)[n].get(self.automaton.start, 0) if n >= 0 else 0
 
     def has_length(self, n: int) -> bool:
-        return n >= 0 and self.automaton.start in self.automaton.within(n)[n]
+        return n >= 0 and self.automaton.start in self.automaton.counts(n)[n]
 
     def smallest_of_length(self, n: int) -> str | None:
         """Greedy walk: the smallest symbol whose target still reaches an
         accepting state in the remaining number of steps."""
         auto = self.automaton
-        within = auto.within(n)
-        if n < 0 or auto.start not in within[n]:
+        counts = auto.counts(n)
+        if n < 0 or auto.start not in counts[n]:
             return None
         q = auto.start
         word = []
         for remaining in range(n - 1, -1, -1):
             q, s = next((auto.transitions[q][s], s) for s in self.alphabet
-                        if auto.transitions[q][s] in within[remaining])
+                        if auto.transitions[q][s] in counts[remaining])
             word.append(s)
         return "".join(word)
 

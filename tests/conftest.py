@@ -51,11 +51,11 @@ def regex_asts(symbols):
 
 
 @st.composite
-def small_grammars(draw, symbols):
+def small_grammars(draw, symbols, max_rhs=3):
     """Grammar text over two terminals: 1-3 nonterminals, 1-3 alternatives
-    each, right-hand sides of 0-3 symbols (0 is `eps`)."""
+    each, right-hand sides of 0-max_rhs symbols (0 is `eps`)."""
     nts = ("S", "A", "B")[:draw(st.integers(1, 3))]
-    rhs = st.lists(st.sampled_from(nts + tuple(symbols)), max_size=3)
+    rhs = st.lists(st.sampled_from(nts + tuple(symbols)), max_size=max_rhs)
     lines = []
     for head in nts:
         alts = draw(st.lists(rhs, min_size=1, max_size=3))

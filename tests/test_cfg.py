@@ -2,11 +2,12 @@
 
 import itertools
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 
-from foldlang import Alphabet, ContextFreeLang, parse_grammar, to_normal_form
+from foldlang import Alphabet, ContextFreeLang, cfg, parse_grammar, to_normal_form
 from foldlang.cfg import _drop_nullable, _nullable_set, _prune_useless
 from foldlang.errors import DecompositionError, GrammarSyntaxError
 
@@ -310,6 +311,42 @@ def test_long_nullable_right_hand_side():
     assert lang.normal_form.start_epsilon
     assert time.perf_counter() - start < 1.0
     assert lang.has_length(40) and not lang.has_length(41)
+
+
+def naive_binarize(head, rhs, bin_prods, suffix_nt, fresh):
+    """Reference: the recursive chain, one Python frame per suffix."""
+    def chain(symbols):
+        if symbols in suffix_nt:
+            return suffix_nt[symbols]
+        nt = fresh("X")
+        suffix_nt[symbols] = nt
+        if len(symbols) == 2:
+            bin_prods[nt].append((symbols[0], symbols[1]))
+        else:
+            bin_prods[nt].append((symbols[0], chain(symbols[1:])))
+        return nt
+
+    bin_prods[head].append(rhs if len(rhs) == 2 else (rhs[0], chain(rhs[1:])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_grammars("ab", max_rhs=6))
+@example("S -> a b a b a b | b a b a b | a b a b")  # shared suffixes
+@example("S -> A a A b A a\nA -> a | eps")
+def test_binarize_loop_matches_the_recursion(text):
+    g = parse_grammar(text, AB)
+    got = to_normal_form(g)
+    with mock.patch.object(cfg, "_binarize", naive_binarize):
+        expect = to_normal_form(g)
+    assert (got.nonterminals, got.bin_prods, got.term_prods, got.start_epsilon) == (
+        expect.nonterminals, expect.bin_prods, expect.term_prods, expect.start_epsilon)
+
+
+def test_long_right_hand_side_needs_no_recursion():
+    # the recursive chain raised RecursionError from about 1,000 symbols
+    lang = ContextFreeLang("S -> " + "a " * 1500, AB)
+    assert lang.member("a" * 1500)
+    assert not lang.member("a" * 1499)
 
 
 def test_unit_chain_normal_form():

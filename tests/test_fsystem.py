@@ -151,6 +151,16 @@ def test_pair_cap_is_checked_from_counts(monkeypatch):
     assert fs_member(system("(aa)*", "(u|d)*"), "a" * 21, pair_cap=0) is False
 
 
+def test_pair_check_reads_both_length_tables_first(monkeypatch):
+    def build_slice(self, n):
+        raise AssertionError(f"slice {n} built")
+
+    monkeypatch.setattr(ContextFreeLang, "enumerate_length", build_slice)
+    phi = system("S -> a S b S | eps", "(ud)*d")  # even core, odd procedure lengths
+    assert fs_enumerate(phi, 12) == []
+    assert fs_member(phi, "abab") is False
+
+
 def test_foreign_symbol_is_refused_before_any_slice():
     # pair_cap=0 refuses every slice: only the alphabet check can answer
     phi = system("(a|b)*", "(u|d)*")

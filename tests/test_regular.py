@@ -292,10 +292,15 @@ def word_sets(draw):
 @example((["abc", "ab", "cab", "bca", "ca"], Alphabet("cba")))
 def test_from_words_matches_the_regex_compile(case):
     words, alphabet = case
-    got = RegularLang.from_words((w for w in words), alphabet).automaton
+    lang = RegularLang.from_words((w for w in words), alphabet)
+    got = lang.automaton
     assert same_automaton(got, naive_from_words(words, alphabet))
     regex = "|".join(w or "()" for w in words) or "[]"
     assert same_automaton(got, RegularLang(regex, alphabet).automaton)
+    for n in range(max(map(len, words), default=0) + 1):
+        distinct = len({w for w in words if len(w) == n})
+        assert lang.count_length(n) == distinct
+        assert lang.has_length(n) == (distinct > 0)
 
 
 def test_from_words_matches_the_reference_on_benchmark_sized_sets():
