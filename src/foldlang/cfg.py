@@ -8,12 +8,14 @@ CYK, enumeration is per length, and the pumping decomposition is taken
 from a deterministic parse tree.
 
 Each normal form grammar holds one length table (`LengthTable`): bit l of
-`bits[A]` is set iff A derives a string of length l, and `lists[A]` holds
-the same lengths in ascending order. It is built bottom-up, one length at a
-time, and grown on demand. CYK and enumeration try a split s of a span of
-length l under A -> B C only when B derives length s and C derives length
-l - s; under a lifted terminal (`T_a` derives only length 1) that leaves one
-split per span instead of l - 1. Length queries are bit tests.
+`bits[A]` is set iff A derives a string of length l, `rev[A]` holds the
+same lengths mirrored, and `at[l]` lists the nonterminals that derive
+length l. It is built bottom-up, one length at a time, and grown on
+demand. The splits s of a span of length l under A -> B C, those where B
+derives length s and C derives length l - s, are the set bits of one AND
+of `bits[B]` with `rev[C]` shifted; under a lifted terminal (`T_a` derives
+only length 1) that leaves one split per span instead of l - 1. CYK visits
+only the cells (A, l) in `at[l]`, and length queries are bit tests.
 
 Grammar syntax: one production group per line, `A -> alpha | beta | eps`;
 nonterminals are uppercase identifiers, terminals are single lowercase
@@ -25,9 +27,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import DecompositionError, FoldlangError, GrammarSyntaxError
+from .errors import DecompositionError, FoldlangError, GrammarSyntaxError, ResourceLimit
 from .folding import Alphabet
-from .graph import closure, fill, has_cycle
+from .graph import closure, fill, has_cycle, set_bits
 
 _NONTERM = re.compile(r"[A-Z][A-Za-z0-9_]*$")
 
@@ -120,45 +122,39 @@ class LengthTable:
     """Derivable lengths per nonterminal, for every length up to `limit`.
 
     bits[A] has bit l set iff A derives a string of length l (l >= 1), and
-    lists[A] holds the same lengths in ascending order."""
+    rev[A] is its mirror, with bit cap - l set instead; `cap` only grows,
+    doubling.  at[l] lists the nonterminals that derive length l, in
+    normal-form order."""
 
     def __init__(self, nf: NormalFormGrammar):
         self.prods = nf.bin_prods  # not nf itself: no reference cycle
-        self.limit = 1
+        self.limit = self.cap = 1
+        self.at = [[], [a for a in nf.nonterminals if nf.term_prods[a]]]
         self.bits = {a: 2 if nf.term_prods[a] else 0 for a in nf.nonterminals}
-        self.lists = {a: [1] if nf.term_prods[a] else [] for a in nf.nonterminals}
+        self.rev = {a: bits >> 1 for a, bits in self.bits.items()}
 
     def upto(self, n: int) -> LengthTable:
         """Grow the table to cover every length up to n; returns self."""
-        bits, lists, prods = self.bits, self.lists, self.prods
+        if n > self.cap:
+            grow = max(n, 2 * self.cap) - self.cap
+            self.rev = {a: bits << grow for a, bits in self.rev.items()}
+            self.cap += grow
+        bits, rev, cap = self.bits, self.rev, self.cap
         for l in range(self.limit + 1, n + 1):
             # both halves of a length-l split are shorter than l, so bit l
-            # depends only on bits set in earlier rounds; every split s >= 1
-            for a, alts in prods.items():
-                if any(s for b, c in alts for s in self.splits(b, c, l)):
-                    bits[a] |= 1 << l
-                    lists[a].append(l)
+            # depends only on bits set in earlier rounds
+            self.at.append([a for a, alts in self.prods.items()
+                            if any(bits[b] & (rev[c] >> (cap - l)) for b, c in alts)])
+            for a in self.at[l]:
+                bits[a] |= 1 << l
+                rev[a] |= 1 << (cap - l)
         self.limit = max(self.limit, n)
         return self
 
     def splits(self, b: str, c: str, l: int):
-        """Yield every s with s in L(B) and l - s in L(C), walking the
-        shorter of the two length lists."""
-        lb, lc = self.lists[b], self.lists[c]
-        if len(lb) <= len(lc):
-            cbits = self.bits[c]
-            for s in lb:
-                if s >= l:
-                    return
-                if cbits >> (l - s) & 1:
-                    yield s
-        else:
-            bbits = self.bits[b]
-            for t in lc:
-                if t >= l:
-                    return
-                if bbits >> (l - t) & 1:
-                    yield l - t
+        """Every s with s in L(B) and l - s in L(C), ascending; the table
+        must cover l."""
+        return set_bits(self.bits[b] & (self.rev[c] >> (self.cap - l)))
 
 
 def _generating(prods) -> set[str]:
@@ -301,30 +297,25 @@ def to_normal_form(g: Grammar) -> NormalFormGrammar:
 # CYK membership (bitmask over start positions, per nonterminal and span)
 
 def _cyk_masks(nf: NormalFormGrammar, w: str) -> dict[tuple[str, int], int]:
-    """masks[(A, l)] has bit i set iff A derives w[i:i+l]."""
-    n = len(w)
-    table = nf.lengths.upto(n)
-    masks: dict[tuple[str, int], int] = {}
-    for a in nf.nonterminals:
-        m = 0
-        for t in nf.term_prods[a]:
-            for i, ch in enumerate(w):
-                if ch == t:
-                    m |= 1 << i
-        masks[(a, 1)] = m
-    for l in range(2, n + 1):
-        for a in nf.nonterminals:
+    """masks[(A, l)] has bit i set iff A derives w[i:i+l].  Only the cells
+    whose length A derives are visited, and only non-zero masks are kept."""
+    table = nf.lengths.upto(len(w))
+    positions: dict[str, int] = {}  # per symbol, a mask of where it is in w
+    for i, ch in enumerate(w):
+        positions[ch] = positions.get(ch, 0) | 1 << i
+    # distinct terminals hold disjoint positions, so their masks sum to their union
+    masks = {(a, 1): m for a in table.at[1]
+             if (m := sum(positions.get(t, 0) for t in nf.term_prods[a]))}
+    for l in range(2, len(w) + 1):
+        for a in table.at[l]:
             m = 0
-            if table.bits[a] >> l & 1:
-                for b, c in nf.bin_prods[a]:
-                    for s in table.splits(b, c, l):
-                        left = masks[(b, s)]
-                        if not left:
-                            continue
-                        right = masks[(c, l - s)]
-                        if right:
-                            m |= left & (right >> s)
-            masks[(a, l)] = m & ((1 << (n - l + 1)) - 1)
+            for b, c in nf.bin_prods[a]:
+                for s in table.splits(b, c, l):
+                    left = masks.get((b, s))
+                    if left:
+                        m |= left & (masks.get((c, l - s), 0) >> s)
+            if m:  # the right half starts s after the left, so m fits w
+                masks[(a, l)] = m
     return masks
 
 
@@ -375,8 +366,9 @@ def _build_tree(nf: NormalFormGrammar, masks, w: str) -> list[_Node]:
             continue
         node.children = next(
             ([_Node(b, i, s), _Node(c, i + s, l - s)]
-             for b, c in nf.bin_prods[a] for s in sorted(nf.lengths.splits(b, c, l))
-             if (masks[(b, s)] >> i) & 1 and (masks[(c, l - s)] >> (i + s)) & 1), None)
+             for b, c in nf.bin_prods[a] for s in nf.lengths.splits(b, c, l)
+             if masks.get((b, s), 0) >> i & 1 and masks.get((c, l - s), 0) >> (i + s) & 1),
+            None)
         if node.children is None:
             raise FoldlangError(f"no derivation for {a} over w[{i}:{i + l}]")
         nodes += node.children
@@ -419,30 +411,51 @@ class ContextFreeLang:
             return nf.start_epsilon
         if not all(ch in nf.terminals for ch in w):
             return False
-        return bool(_cyk_masks(nf, w)[(nf.start, len(w))] & 1)
+        return bool(_cyk_masks(nf, w).get((nf.start, len(w)), 0) & 1)
 
     def enumerate_length(self, n: int) -> tuple[str, ...]:
         if n < 0:
             raise ValueError("n must be >= 0")
+        return self._slice(n, None)
+
+    def count_length(self, n: int, budget: int | None = None) -> int:
+        """Exact: the size of the (memoised) slice.  A count of derivations
+        would only bound it, since a grammar may be ambiguous.  With a
+        budget, building stops at the first join over it and budget + 1 is
+        returned.  The count is then surely over budget: a slice under
+        (start, n) is only joined to non-empty slices, so it is no larger
+        than slice n."""
+        if n < 0:
+            return 0
+        try:
+            return len(self._slice(n, budget))
+        except ResourceLimit:
+            return budget + 1
+
+    def _slice(self, n: int, budget: int | None) -> tuple[str, ...]:
+        """Slice n, memoised per (nonterminal, length); ResourceLimit before
+        a join would hold more than budget strings (None: no bound).  A part
+        of a join holds |xs|·|ys| distinct strings, checked first."""
         if n == 0:
             return ("",) if self.normal_form.start_epsilon else ()
         key = self.alphabet.sort_key
+        most = float("inf") if budget is None else budget
 
         def join(pairs):
-            if len(pairs) == 1:
-                # fixed-length halves: the products are sorted and distinct
-                xs, ys = pairs[0]
-                return tuple(x + y for x in xs for y in ys)
-            return tuple(sorted({x + y for xs, ys in pairs for x in xs for y in ys},
-                                key=key))
+            for xs, ys in pairs:
+                if len(xs) * len(ys) > most:
+                    raise ResourceLimit(f"a slice over the budget of {budget}")
+            if len(pairs) == 1:  # fixed-length halves: sorted, distinct products
+                return tuple(x + y for xs, ys in pairs for x in xs for y in ys)
+            strings: set[str] = set()
+            for xs, ys in pairs:
+                strings.update([x + y for x in xs for y in ys])
+                if len(strings) > most:
+                    raise ResourceLimit(f"a slice over the budget of {budget}")
+            return tuple(sorted(strings, key=key))
 
         return self._solve(self._strings, n,
                            lambda terms: tuple(sorted(terms, key=key)), join)
-
-    def count_length(self, n: int) -> int:
-        """Exact: the size of the (memoised) slice.  A count of derivations
-        would only bound it, since a grammar may be ambiguous."""
-        return len(self.enumerate_length(n)) if n >= 0 else 0
 
     def has_length(self, n: int) -> bool:
         nf = self.normal_form
@@ -490,7 +503,7 @@ class ContextFreeLang:
         root-to-leaf path of a deterministic parse tree."""
         nf = self.normal_form
         masks = _cyk_masks(nf, w)
-        if not (masks[(nf.start, len(w))] & 1 if w else nf.start_epsilon):
+        if not (masks.get((nf.start, len(w)), 0) & 1 if w else nf.start_epsilon):
             raise DecompositionError(f"{w!r} is not a member")
         p = self.pumping_length()
         if len(w) < p:

@@ -25,7 +25,7 @@ from typing import ClassVar, Protocol
 from .cfg import CfgDecomposition, ContextFreeLang
 from .errors import AlphabetError, NoEqualLengthPair, ResourceLimit, SpecFileError
 from .folding import PROC_ALPHABET, Alphabet, fold, fold_permutation
-from .graph import fill
+from .graph import fill, set_bits
 from .regular import RegDecomposition, RegularLang
 
 #: Per-length candidate-pair cap, checked from the slice counts.
@@ -55,8 +55,9 @@ class Language(Protocol):
         """Every member of length n, lexicographic by alphabet order;
         ValueError when n < 0."""
 
-    def count_length(self, n: int) -> int:
-        """The number of members of length n, exact; 0 when n < 0."""
+    def count_length(self, n: int, budget: int | None = None) -> int:
+        """The number of members of length n, exact; 0 when n < 0.  With a
+        budget, a count over it may stop early and return budget + 1."""
 
     def has_length(self, n: int) -> bool:
         """Whether some member has length n; False when n < 0."""
@@ -94,13 +95,20 @@ class FSystem:
 def _has_pairs(phi: FSystem, n: int, pair_cap: int) -> bool:
     """Whether both slices at length n are non-empty, read from the length
     tables.  Only then are both slices counted, before either is built:
-    ResourceLimit when they give more than pair_cap candidate pairs."""
-    if not (phi.core.has_length(n) and phi.proc.has_length(n)):
+    ResourceLimit when they give more than pair_cap candidate pairs.  Each
+    side's count stops past pair_cap // the other side's (regular, so
+    exact) count, or past pair_cap when the other side is context-free."""
+    sides = (phi.core, phi.proc)
+    if not all(side.has_length(n) for side in sides):
         return False
-    nr, ns = phi.core.count_length(n), phi.proc.count_length(n)
-    if nr * ns > pair_cap:
-        raise ResourceLimit(
-            f"{nr}x{ns} candidate pairs at length {n} exceed the cap of {pair_cap}")
+    known = [1 if side.context_free else side.count_length(n) for side in sides]
+    budgets = [pair_cap // k for k in reversed(known)]
+    counts = [side.count_length(n, b) for side, b in zip(sides, budgets)]
+    if counts[0] * counts[1] > pair_cap:
+        shown = [f"(more than {b})" if side.context_free and c > b else str(c)
+                 for side, c, b in zip(sides, counts, budgets)]
+        raise ResourceLimit(f"{shown[0]}x{shown[1]} candidate pairs at length {n} "
+                            f"exceed the cap of {pair_cap}")
     return True
 
 
@@ -198,14 +206,6 @@ def _follow_product(phi: FSystem, max_len: int) -> list[set[str]]:
     return by_length
 
 
-def _bits(mask: int):
-    """The indices of mask's set bits, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _follow_pairs(phi: FSystem, max_len: int) -> list[set[str]]:
     """CF/REG and REG/CF members of each length 0..max_len.
 
@@ -245,7 +245,7 @@ def _follow_pairs(phi: FSystem, max_len: int) -> list[set[str]]:
             return []
         return [((b, q, m, s), (c, m, q2, l - s))
                 for b, c in nf.bin_prods[a] for s in table.splits(b, c, l)
-                for m in _bits(reach[s][q]) if reach[l - s][m] >> q2 & 1]
+                for m in set_bits(reach[s][q]) if reach[l - s][m] >> q2 & 1]
 
     def combine(node, entries):
         a, q, q2, l = node
@@ -259,7 +259,7 @@ def _follow_pairs(phi: FSystem, max_len: int) -> list[set[str]]:
     for n in range(1, max_len + 1):
         words: set[str] = set()
         if table.bits[nf.start] >> n & 1:
-            for f in _bits(reach[n][auto.start]):
+            for f in set_bits(reach[n][auto.start]):
                 if f in auto.accepting:
                     words.update(x + y for x, y in fill(
                         memo, (nf.start, auto.start, f, n), parts, combine))

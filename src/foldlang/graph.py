@@ -1,6 +1,6 @@
 """Graph worklists shared by the engines and the F-system code:
-reachability, breadth-first numbering, the cycle test and memoised
-evaluation over a DAG.
+reachability, breadth-first numbering, the cycle test, memoised
+evaluation over a DAG, and the members of a set held as an int's bits.
 
 None of them recurses, so chain length is not bounded by the Python stack.
 """
@@ -78,3 +78,11 @@ def fill(memo: dict, root, parts, combine):
         memo[node] = combine(node, [(memo[p], memo[q]) for p, q in node_parts])
         stack.pop()
     return memo[root]
+
+
+def set_bits(mask: int):
+    """The indices of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -394,36 +394,42 @@ class RegularLang:
 
     @lru_cache(maxsize=128)
     def enumerate_length(self, n: int) -> tuple[str, ...]:
-        """Depth-first with an explicit stack, pruning prefixes that cannot
-        reach an accepting state in the remaining number of steps."""
+        """Met in the middle: the live prefixes of length h = n // 2, each
+        with its end state and in alphabet order, then each followed by its
+        end state's suffixes of length n - h, walked forward from the end
+        states the prefixes reach.  Nothing beyond the two halves is held."""
         if n < 0:
             raise ValueError("n must be >= 0")
         auto = self.automaton
         counts = auto.counts(n)
         if auto.start not in counts[n]:
             return ()
-        if n == 0:
-            return ("",)
-        symbols = self.alphabet.symbols
-        backwards = symbols[::-1]  # popped in alphabet order
-        transitions, accepting = auto.transitions, auto.accepting
-        out: list[str] = []
-        stack = [("", auto.start)]
-        while stack:
-            prefix, q = stack.pop()
-            row = transitions[q]
-            remaining = n - len(prefix) - 1
-            if remaining:
-                live = counts[remaining]
-                for s in backwards:
-                    if row[s] in live:
-                        stack.append((prefix + s, row[s]))
-            else:
-                out.extend(prefix + s for s in symbols if row[s] in accepting)
-        return tuple(out)
+        transitions, symbols = auto.transitions, self.alphabet.symbols
 
-    def count_length(self, n: int) -> int:
-        """Exact, from the length table; no string is built."""
+        def walk(paths, left, steps):
+            # extend each (word, origin, state), left symbols short of n, by
+            # steps symbols, keeping the paths that can still reach acceptance;
+            # plain loops, because a thin slice takes many one-path steps
+            for k in range(left - 1, left - steps - 1, -1):
+                live, extended = counts[k], []
+                for x, origin, q in paths:
+                    row = transitions[q]
+                    for s in symbols:
+                        if row[s] in live:
+                            extended.append((x + s, origin, row[s]))
+                paths = extended
+            return paths
+
+        prefixes = walk([("", auto.start, auto.start)], n, n // 2)
+        ends = {q for _, _, q in prefixes}
+        suffixes: dict[int, list[str]] = {q: [] for q in ends}
+        for x, q, _ in walk([("", q, q) for q in ends], n - n // 2, n - n // 2):
+            suffixes[q].append(x)  # the paths of one origin stay in alphabet order
+        return tuple([p + x for p, _, q in prefixes for x in suffixes[q]])
+
+    def count_length(self, n: int, budget: int | None = None) -> int:
+        """Exact, from the length table, whatever the budget; no string is
+        built."""
         return self.automaton.counts(n)[n].get(self.automaton.start, 0) if n >= 0 else 0
 
     def has_length(self, n: int) -> bool:

@@ -5,7 +5,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from foldlang import Alphabet, ContextFreeLang, cfg, parse_grammar, to_normal_form
 from foldlang.cfg import _drop_nullable, _nullable_set, _prune_useless
@@ -342,11 +342,26 @@ def test_binarize_loop_matches_the_recursion(text):
         expect.nonterminals, expect.bin_prods, expect.term_prods, expect.start_epsilon)
 
 
-def test_long_right_hand_side_needs_no_recursion():
+@pytest.fixture(scope="module")
+def long_chain():
+    """S -> a ... a with 1,500 symbols: 1,500 nonterminals, one length each."""
+    return ContextFreeLang("S -> " + "a " * 1500, AB)
+
+
+def test_long_right_hand_side_needs_no_recursion(long_chain):
     # the recursive chain raised RecursionError from about 1,000 symbols
-    lang = ContextFreeLang("S -> " + "a " * 1500, AB)
-    assert lang.member("a" * 1500)
-    assert not lang.member("a" * 1499)
+    assert long_chain.member("a" * 1500)
+    assert not long_chain.member("a" * 1499)
+
+
+def test_cyk_keeps_only_derivable_cells(long_chain):
+    nf = long_chain.normal_form
+    masks = cfg._cyk_masks(nf, "a" * 1500)
+    table = nf.lengths
+    assert all(table.bits[a] >> l & 1 for a, l in masks)
+    # each chain nonterminal derives one length, so one cell each
+    assert len(masks) == len(nf.nonterminals)
+    assert masks[(nf.start, 1500)] == 1
 
 
 def test_unit_chain_normal_form():
@@ -360,3 +375,67 @@ def test_unit_chain_normal_form():
 def test_unary_grammar_decompose_degenerates():
     d = ContextFreeLang(ASTAR, AB).decompose("a" * 20)
     assert (d.v == "") != (d.y == "")  # exactly one pump piece is empty
+
+
+class NaiveLengthTable:
+    """The list-walking length table the bitset one replaced: lists[A]
+    holds A's lengths ascending, and a split walks the shorter of the two
+    lists.  Kept as the reference."""
+
+    def __init__(self, nf):
+        self.prods = nf.bin_prods
+        self.limit = 1
+        self.bits = {a: 2 if nf.term_prods[a] else 0 for a in nf.nonterminals}
+        self.lists = {a: [1] if nf.term_prods[a] else [] for a in nf.nonterminals}
+
+    def upto(self, n):
+        for l in range(self.limit + 1, n + 1):
+            for a, alts in self.prods.items():
+                if any(s for b, c in alts for s in self.splits(b, c, l)):
+                    self.bits[a] |= 1 << l
+                    self.lists[a].append(l)
+        self.limit = max(self.limit, n)
+        return self
+
+    def splits(self, b, c, l):
+        lb, lc = self.lists[b], self.lists[c]
+        if len(lb) <= len(lc):
+            return [s for s in lb if s < l and self.bits[c] >> (l - s) & 1]
+        return [l - t for t in lc if t < l and self.bits[b] >> (l - t) & 1]
+
+
+def naive_cyk_masks(nf, w, table):
+    """The CYK that visited every (A, l) cell and kept empty masks."""
+    n = len(w)
+    table.upto(n)
+    masks = {}
+    for a in nf.nonterminals:
+        masks[(a, 1)] = sum(1 << i for t in nf.term_prods[a]
+                            for i, ch in enumerate(w) if ch == t)
+    for l in range(2, n + 1):
+        for a in nf.nonterminals:
+            m = 0
+            if table.bits[a] >> l & 1:
+                for b, c in nf.bin_prods[a]:
+                    for s in table.splits(b, c, l):
+                        m |= masks[(b, s)] & (masks[(c, l - s)] >> s)
+            masks[(a, l)] = m & ((1 << (n - l + 1)) - 1)
+    return masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_grammars("ab"), st.lists(st.text("ab", max_size=8), max_size=6))
+@example(DYCK, ["abab", "aabbab", "abba"])
+@example(PALIN, ["abaaba", "ab"])
+def test_bitset_kernels_match_the_list_walk(text, words):
+    nf = ContextFreeLang(text, AB).normal_form
+    naive = NaiveLengthTable(nf).upto(30)
+    table = nf.lengths.upto(30)
+    assert table.bits == naive.bits
+    for l in range(1, 31):
+        assert table.at[l] == [a for a in nf.nonterminals if naive.bits[a] >> l & 1]
+        for b, c in itertools.product(nf.nonterminals, repeat=2):
+            assert list(table.splits(b, c, l)) == sorted(naive.splits(b, c, l))
+    for w in words:
+        expect = {cell: m for cell, m in naive_cyk_masks(nf, w, naive).items() if m}
+        assert cfg._cyk_masks(nf, w) == expect

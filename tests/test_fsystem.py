@@ -161,6 +161,34 @@ def test_pair_check_reads_both_length_tables_first(monkeypatch):
     assert fs_member(phi, "abab") is False
 
 
+def test_context_free_count_stops_at_its_budget():
+    dyck = "S -> a S b S | eps"
+    phi = system(dyck, "S -> u S d S | eps")
+    # CF/CF: each side is counted against the cap itself
+    with pytest.raises(ResourceLimit, match=r"^\(more than 1000\)x\(more than 1000\) "
+                                            r"candidate pairs at length 252 "):
+        fs_member(phi, "ab" * 126, pair_cap=1000)
+    # no slice past the budget was kept, on either side
+    for side in (phi.core, phi.proc):
+        assert 0 < max(map(len, side._strings.values())) <= 1000
+    # REG/CF: the context-free budget is the cap over the regular count
+    with pytest.raises(ResourceLimit, match=r"^1024x\(more than 0\) candidate pairs at length 10 "):
+        fs_member(system("(a|b)*", "S -> u S d S | eps"), "ab" * 5, pair_cap=1000)
+    with pytest.raises(ResourceLimit, match=r"^\(more than 3\)x256 candidate pairs at length 8 "):
+        fs_enumerate(system(dyck, "(u|d)*"), 8, pair_cap=1000)
+    # under budget the count is exact, and over it one past the budget
+    lang = ContextFreeLang(dyck, AB)
+    assert lang.count_length(12, 132) == 132
+    assert lang.count_length(12, 131) == 132
+    assert ContextFreeLang(dyck, AB).count_length(12, 131) == 132
+    assert ContextFreeLang(dyck, AB).count_length(12, 0) == 1
+    # (a|b)^12: every join has one part, and it is refused before it is built
+    fixed = ContextFreeLang("S -> " + "A " * 12 + "\nA -> a | b", AB)
+    assert fixed.count_length(12, 100) == 101
+    assert max(map(len, fixed._strings.values())) <= 100
+    assert fixed.count_length(12) == 4096
+
+
 def test_foreign_symbol_is_refused_before_any_slice():
     # pair_cap=0 refuses every slice: only the alphabet check can answer
     phi = system("(a|b)*", "(u|d)*")

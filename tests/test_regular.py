@@ -326,3 +326,62 @@ def test_from_words_is_linear_in_the_total_length():
 def test_from_words_rejects_foreign_symbols():
     with pytest.raises(AlphabetError, match="'c'"):
         RegularLang.from_words(["ab", "abc"], AB)
+
+
+def naive_enumerate_length(lang, n):
+    """The depth-first enumeration the meet-in-the-middle kernel replaced:
+    an explicit stack, pruning prefixes that cannot reach acceptance in
+    the steps left.  Kept as the reference for order and content."""
+    auto = lang.automaton
+    counts = auto.counts(n)
+    if auto.start not in counts[n]:
+        return ()
+    if n == 0:
+        return ("",)
+    symbols = lang.alphabet.symbols
+    out = []
+    stack = [("", auto.start)]
+    while stack:
+        prefix, q = stack.pop()
+        row = auto.transitions[q]
+        remaining = n - len(prefix) - 1
+        if remaining:
+            stack += [(prefix + s, row[s]) for s in reversed(symbols)
+                      if row[s] in counts[remaining]]
+        else:
+            out += [prefix + s for s in symbols if row[s] in auto.accepting]
+    return tuple(out)
+
+
+def asts_over_some_symbols():
+    """(symbols, AST) over 1-3 symbols."""
+    return st.sampled_from(["a", "ab", "abc"]).flatmap(
+        lambda symbols: st.tuples(st.just(symbols), regex_asts(symbols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(asts_over_some_symbols())
+@example(("ab", Star(Union((Literal("a"), Literal("b"))))))
+@example(("ab", Concat((Literal("a"), Star(Literal("b")), Literal("a")))))
+def test_met_in_the_middle_slices_match_the_depth_first_walk(case):
+    symbols, ast = case
+    for alphabet in {Alphabet(symbols), Alphabet(symbols[::-1])}:
+        lang = RegularLang.from_ast(ast, alphabet)
+        for n in range(11):
+            assert lang.enumerate_length(n) == naive_enumerate_length(lang, n), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_sets())
+def test_met_in_the_middle_slices_of_word_sets(case):
+    words, alphabet = case
+    lang = RegularLang.from_words(words, alphabet)
+    for n in range(11):
+        assert lang.enumerate_length(n) == naive_enumerate_length(lang, n), n
+
+
+def test_dense_slice_is_met_in_the_middle():
+    lang = RegularLang("(u|d)*", UD)
+    got = lang.enumerate_length(16)
+    assert got == tuple("".join(p) for p in itertools.product("ud", repeat=16))
+    assert RegularLang("(ud)*", UD).enumerate_length(252) == ("ud" * 126,)
