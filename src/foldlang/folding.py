@@ -4,6 +4,8 @@ A string w over an alphabet is folded under a direction string v over
 {u, d} of the same length: each step takes the next symbol of w and
 either prepends it to the stack built so far (fold up, 'u') or appends
 it (fold down, 'd').  The result reads the final stack top to bottom.
+`fold` is the one walk over the string; the up/down split and the
+step-by-step trace are read off it.
 """
 
 from __future__ import annotations
@@ -157,31 +159,24 @@ def fold(w: str, v: str) -> str:
 def split_updown(w: str, v: str) -> tuple[str, str]:
     """Split w into (w_up, w_down), the subsequences at up/down positions of v.
 
-    Satisfies the two-way identity: reverse(w_up) + w_down == fold(w, v).
+    Read off the fold by the two-way identity
+    reverse(w_up) + w_down == fold(w, v).
     """
-    if len(w) != len(v):
-        raise UndefinedFold(f"|w|={len(w)} != |v|={len(v)}")
-    check_proc(v)
-    up = []
-    down = []
-    for a, b in zip(w, v):
-        (up if b == "u" else down).append(a)
-    return "".join(up), "".join(down)
+    folded = fold(w, v)
+    k = v.count("u")
+    return folded[:k][::-1], folded[k:]
 
 
 def fold_trace(w: str, v: str) -> FoldTrace:
-    """Like fold, but records the stack after every step."""
-    if len(w) != len(v):
-        raise UndefinedFold(f"|w|={len(w)} != |v|={len(v)}")
-    check_proc(v)
-    stack: deque[str] = deque()
+    """Like fold, but records the stack after every step: fold_step once
+    per symbol, after fold's own checks."""
+    fold(w, v)
+    stack = ""
     steps = []
     for a, b in zip(w, v):
-        if b == "u":
-            stack.appendleft(a)
-        else:
-            stack.append(a)
-        steps.append(FoldStep("".join(stack), a, Direction.from_char(b)))
+        direction = Direction(b)
+        stack = fold_step(stack, a, direction)
+        steps.append(FoldStep(stack, a, direction))
     return FoldTrace(tuple(steps))
 
 

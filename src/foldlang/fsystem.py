@@ -92,6 +92,14 @@ class FSystem:
             raise AlphabetError("procedure language must use alphabet {u, d}")
 
 
+def _digits(count: int, pair_cap: int) -> str:
+    """count in decimal, or "(more than pair_cap)" past str()'s digit limit."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"(more than {pair_cap})"
+
+
 def _has_pairs(phi: FSystem, n: int, pair_cap: int) -> bool:
     """Whether both slices at length n are non-empty, read from the length
     tables.  Only then are both slices counted, before either is built:
@@ -105,7 +113,7 @@ def _has_pairs(phi: FSystem, n: int, pair_cap: int) -> bool:
     budgets = [pair_cap // k for k in reversed(known)]
     counts = [side.count_length(n, b) for side, b in zip(sides, budgets)]
     if counts[0] * counts[1] > pair_cap:
-        shown = [f"(more than {b})" if side.context_free and c > b else str(c)
+        shown = [f"(more than {b})" if side.context_free and c > b else _digits(c, pair_cap)
                  for side, c, b in zip(sides, counts, budgets)]
         raise ResourceLimit(f"{shown[0]}x{shown[1]} candidate pairs at length {n} "
                             f"exceed the cap of {pair_cap}")

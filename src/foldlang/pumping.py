@@ -142,6 +142,8 @@ class PumpFamily:
             raise FamilyFileError("parts must be strings")
         if not all(type(k) is int and 0 <= k < len(parts) for k in pumped):
             raise FamilyFileError(f"pumped indices must be integers in 0..{len(parts) - 1}")
+        if len(set(pumped)) < len(pumped):
+            raise FamilyFileError("pumped indices must not repeat")
         return cls(tuple(parts), tuple(pumped), obj["lemma"], obj["j0"])
 
 

@@ -232,12 +232,14 @@ class Automaton:
     def n_states(self) -> int:
         return len(self.transitions)
 
-    def run(self, w: str) -> list[int]:
-        """State sequence visited on w, length |w|+1."""
+    def run(self, w: str) -> list[int] | None:
+        """State sequence visited on w, length |w|+1; None at the first
+        symbol outside the alphabet."""
         states = [self.start]
-        q = self.start
-        for ch in self.alphabet.validate(w):
-            q = self.transitions[q][ch]
+        for ch in w:
+            q = self.transitions[states[-1]].get(ch)
+            if q is None:
+                return None
             states.append(q)
         return states
 
@@ -343,13 +345,16 @@ class RegularLang:
         self.automaton = compile_ast(self.ast, alphabet)
 
     @classmethod
-    def from_ast(cls, ast: RegexAst, alphabet: Alphabet) -> "RegularLang":
+    def _around(cls, automaton: Automaton, ast: RegexAst | None = None) -> "RegularLang":
+        """The language of an automaton already built, with no regex text."""
         obj = cls.__new__(cls)
-        obj.regex = None
-        obj.alphabet = alphabet
-        obj.ast = ast
-        obj.automaton = compile_ast(ast, alphabet)
+        obj.regex, obj.alphabet, obj.ast = None, automaton.alphabet, ast
+        obj.automaton = automaton
         return obj
+
+    @classmethod
+    def from_ast(cls, ast: RegexAst, alphabet: Alphabet) -> "RegularLang":
+        return cls._around(compile_ast(ast, alphabet), ast)
 
     @classmethod
     def from_words(cls, words, alphabet: Alphabet) -> "RegularLang":
@@ -376,21 +381,13 @@ class RegularLang:
         root = register.setdefault(tuple(path[0]), len(register))
         states = list(register)  # by id, as ids follow insertion order
         order, rows = breadth_first(root, lambda q: states[q][1:])
-        obj = cls.__new__(cls)
-        obj.regex, obj.alphabet, obj.ast = None, alphabet, None
-        obj.automaton = Automaton(
+        return cls._around(Automaton(
             alphabet, [dict(zip(alphabet.symbols, row)) for row in rows],
-            0, {n for n, q in enumerate(order) if states[q][0]})
-        return obj
+            0, {n for n, q in enumerate(order) if states[q][0]}))
 
     def member(self, w: str) -> bool:
-        transitions = self.automaton.transitions
-        q = self.automaton.start
-        for ch in w:
-            q = transitions[q].get(ch)
-            if q is None:  # outside the alphabet
-                return False
-        return q in self.automaton.accepting
+        states = self.automaton.run(w)
+        return states is not None and states[-1] in self.automaton.accepting
 
     @lru_cache(maxsize=128)
     def enumerate_length(self, n: int) -> tuple[str, ...]:
@@ -458,8 +455,8 @@ class RegularLang:
         """Decompose via the first repeated state along w's run (leftmost,
         shortest loop), so the output is deterministic."""
         auto = self.automaton
-        states = auto.run(w) if all(ch in self.alphabet for ch in w) else [None]
-        if states[-1] not in auto.accepting:
+        states = auto.run(w)
+        if states is None or states[-1] not in auto.accepting:
             raise DecompositionError(f"{w!r} is not a member")
         p = self.pumping_length()
         if len(w) < p:

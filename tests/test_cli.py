@@ -139,8 +139,10 @@ def test_spec_file_that_is_not_utf8(capsys, tmp_path):
     '{"parts": ["a", "b"], "pumped": [true], "lemma": "L1", "j0": false}',
     '{"parts": ["a", "b"], "pumped": [true], "lemma": "L1", "j0": 0}',
     '{"parts": ["a", 1], "pumped": [0], "lemma": "L1", "j0": 0}',
+    # a repeated index made the pumped length 1 at i = 0, though "aa" is assembled
+    '{"parts": ["a", "a", "a"], "pumped": [1, 1], "lemma": "L1", "j0": 0}',
 ], ids=["bad-json", "missing-key", "index-past-parts", "boolean-j0",
-        "boolean-index", "non-string-part"])
+        "boolean-index", "non-string-part", "repeated-index"])
 @pytest.mark.parametrize("command", ["verify", "refute-unary"])
 def test_malformed_family_file(capsys, tmp_path, bb_front_spec, document, command):
     path = tmp_path / "family.json"

@@ -45,16 +45,24 @@ def test_empty_fold():
     assert split_updown("", "") == ("", "")
 
 
-def test_length_mismatch_is_undefined():
+@pytest.mark.parametrize("walk", [fold, split_updown, fold_trace],
+                         ids=lambda walk: walk.__name__)
+def test_length_mismatch_is_undefined(walk):
     with pytest.raises(UndefinedFold):
-        fold("ab", "u")
+        walk("ab", "u")
     with pytest.raises(UndefinedFold):
-        split_updown("a", "ud")
+        walk("a", "ud")
 
 
-def test_bad_direction_symbol():
+@pytest.mark.parametrize("walk", [
+    lambda v: fold("ab", v),
+    lambda v: split_updown("ab", v),
+    lambda v: fold_trace("ab", v),
+    fold_permutation,
+], ids=["fold", "split_updown", "fold_trace", "fold_permutation"])
+def test_bad_direction_symbol(walk):
     with pytest.raises(AlphabetError):
-        fold("ab", "ux")
+        walk("ux")
 
 
 def test_all_down_is_identity():
@@ -69,6 +77,9 @@ def test_all_up_is_reversal():
 def test_two_way_identity(pair):
     w, v = pair
     up, down = split_updown(w, v)
+    # checked against v's positions, not only against the fold it is read off
+    assert up == "".join(a for a, b in zip(w, v) if b == "u")
+    assert down == "".join(a for a, b in zip(w, v) if b == "d")
     assert up[::-1] + down == fold(w, v)
 
 
@@ -76,6 +87,10 @@ def test_two_way_identity(pair):
 def test_composition_identity_at_every_split(pair):
     # fold(w, v) = fold(fold(w[:k], v[:k]) placed around fold of the rest)
     w, v = pair
+    steps = fold_trace(w, v).steps
+    for t, step in enumerate(steps):
+        assert step.stack == fold(w[:t + 1], v[:t + 1])
+        assert (step.symbol, step.direction) == (w[t], Direction(v[t]))
     for k in range(len(w) + 1):
         left = fold(w[:k], v[:k])
         up, down = split_updown(w[:k], v[:k])
@@ -122,6 +137,7 @@ def test_identities_random_sample(rng):
         v = random_proc(rng, n)
         up, down = split_updown(w, v)
         out = fold(w, v)
+        assert up == "".join(a for a, b in zip(w, v) if b == "u")
         assert up[::-1] + down == out
         assert collections.Counter(out) == collections.Counter(w)
 

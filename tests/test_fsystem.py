@@ -1,11 +1,12 @@
 """F-system semantics: enumeration, membership, pairing, spec files."""
 
 import itertools
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldlang import (PROC_ALPHABET, ContextFreeLang, FSystem, RegularLang,
+from foldlang import (PROC_ALPHABET, Alphabet, ContextFreeLang, FSystem, RegularLang,
                       equal_length_pair, finite_language_system, fold,
                       fs_enumerate, fs_member, parse_spec, load_spec)
 from foldlang.errors import (AlphabetError, NoEqualLengthPair, ResourceLimit,
@@ -147,6 +148,12 @@ def test_pair_cap_is_checked_from_counts(monkeypatch):
         fs_member(phi, "ab" * 10)
     with pytest.raises(ResourceLimit, match="^16x16 candidate pairs at length 4 "):
         fs_enumerate(phi, 9, pair_cap=100)
+    # 26^3100 has 4,387 digits, more than str() converts: it is shown by the cap
+    letters = Alphabet(string.ascii_lowercase)
+    phi = system(f"({'|'.join(letters)})*", "(u|d)*", letters)
+    with pytest.raises(ResourceLimit, match=r"^\(more than 500000\)x\d+ candidate pairs "
+                                            r"at length 3100 "):
+        fs_member(phi, "a" * 3100)
     # an empty core slice has no pairs, whatever the procedure's size
     assert fs_member(system("(aa)*", "(u|d)*"), "a" * 21, pair_cap=0) is False
 

@@ -159,6 +159,11 @@ def test_decompose_rejects_short_or_foreign_strings():
         lang.decompose("aaaab")  # shorter than the pumping length
     with pytest.raises(DecompositionError):
         lang.decompose("bbbbbbbb")  # not in the language
+    # one run serves member and decompose; it stops at a foreign symbol
+    assert lang.automaton.run("aaaacbb") is None
+    assert not lang.member("aaaacbb")
+    with pytest.raises(DecompositionError, match="not a member"):
+        lang.decompose("aaaacbb")
 
 
 def test_long_enumeration_needs_no_recursion():
