@@ -102,7 +102,7 @@ def parse_grammar(text: str, alphabet: Alphabet | None = None) -> Grammar:
 # Normal form
 
 @dataclass
-class NormalFormGrammar:
+class _NormalFormGrammar:
     """Binary normal form: A -> B C and A -> a only; the empty string is
     derivable exactly when start_epsilon is set."""
 
@@ -126,7 +126,7 @@ class LengthTable:
     doubling.  at[l] lists the nonterminals that derive length l, in
     normal-form order."""
 
-    def __init__(self, nf: NormalFormGrammar):
+    def __init__(self, nf: _NormalFormGrammar):
         self.prods = nf.bin_prods  # not nf itself: no reference cycle
         self.limit = self.cap = 1
         self.at = [[], [a for a in nf.nonterminals if nf.term_prods[a]]]
@@ -225,7 +225,7 @@ def _binarize(head, rhs, bin_prods, suffix_nt, fresh) -> None:
     bin_prods[head].append(rhs if len(rhs) == 2 else (rhs[0], suffix_nt[rhs[1:]]))
 
 
-def to_normal_form(g: Grammar) -> NormalFormGrammar:
+def to_normal_form(g: Grammar) -> _NormalFormGrammar:
     nonterminals, prods = _prune_useless(g.nonterminals, g.productions, g.start)
 
     # epsilon elimination
@@ -283,7 +283,7 @@ def to_normal_form(g: Grammar) -> NormalFormGrammar:
     order2, kept = _prune_useless(
         tuple(order), {nt: bin_prods[nt] + [(t,) for t in term_prods[nt]] for nt in order},
         g.start)
-    return NormalFormGrammar(
+    return _NormalFormGrammar(
         nonterminals=order2,
         terminals=g.terminals,
         bin_prods={nt: sorted(p for p in kept[nt] if len(p) == 2) for nt in order2},
@@ -296,7 +296,7 @@ def to_normal_form(g: Grammar) -> NormalFormGrammar:
 # ---------------------------------------------------------------------------
 # CYK membership (bitmask over start positions, per nonterminal and span)
 
-def _cyk_masks(nf: NormalFormGrammar, w: str) -> dict[tuple[str, int], int]:
+def _cyk_masks(nf: _NormalFormGrammar, w: str) -> dict[tuple[str, int], int]:
     """masks[(A, l)] has bit i set iff A derives w[i:i+l].  Only the cells
     whose length A derives are visited, and only non-zero masks are kept."""
     table = nf.lengths.upto(len(w))
@@ -356,7 +356,7 @@ class _Node:
     children: list = field(default_factory=list)
 
 
-def _build_tree(nf: NormalFormGrammar, masks, w: str) -> list[_Node]:
+def _build_tree(nf: _NormalFormGrammar, masks, w: str) -> list[_Node]:
     """Deterministic parse tree of w (first production, smallest split),
     built top-down without recursion; its nodes, parents first."""
     nodes = [_Node(nf.start, 0, len(w))]

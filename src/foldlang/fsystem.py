@@ -9,23 +9,21 @@ Both slices at a length are counted before either is built, and a length
 with more candidate pairs than the cap is refused.  Membership tries
 every equal-length pair, which is exponential but exact at desk scale.
 Enumeration follows the output when one side is regular: a fold grows
-its output from the middle out, so REG/REG is a forward walk over the
-product of the two DFAs, and CF/REG and REG/CF build (up-letters,
-down-letters) pair sets per normal-form nonterminal and pair of DFA
-states.  CF/CF, and enumeration with witnesses, gather every pair.
+its output from the middle out, so it is a forward walk over the product
+of two DFAs.  A context-free side enters the walk as the minimal DFA of
+the slices the pair check has already built to count them.  CF/CF, and
+enumeration with witnesses, gather every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import ClassVar, Protocol
 
 from .cfg import CfgDecomposition, ContextFreeLang
 from .errors import AlphabetError, NoEqualLengthPair, ResourceLimit, SpecFileError
 from .folding import PROC_ALPHABET, Alphabet, fold, fold_permutation
-from .graph import fill, set_bits
 from .regular import RegDecomposition, RegularLang
 
 #: Per-length candidate-pair cap, checked from the slice counts.
@@ -39,8 +37,7 @@ class Language(Protocol):
     """What the F-system, pumping and CLI code asks of a component
     language.  RegularLang and ContextFreeLang implement it, and callers
     tell them apart only through `context_free`.  fs_enumerate's
-    output-following routes also read a regular engine's `automaton` and
-    a context-free engine's `normal_form`."""
+    output-following route also reads a regular engine's `automaton`."""
 
     #: True for a context-free engine, False for a regular one; it picks
     #: the pumping lemma and the decomposition shape.
@@ -131,10 +128,12 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
     raised at the first length with more than pair_cap candidate pairs.
 
     When one side is regular, the members are built by following the
-    output (`_follow_product` for REG/REG, `_follow_pairs` for CF/REG and
-    REG/CF), so the work grows with L(Phi) rather than with |core slice| x
-    |procedure slice|.  CF/CF, and witnesses (the first pair found is part
-    of the contract), gather every pair instead.
+    output over the product of two DFAs (`_follow_product`), so the work
+    grows with L(Phi) rather than with |core slice| x |procedure slice|.
+    A context-free side enters as the minimal DFA (`from_words`) of its
+    slices at the lengths with pairs, which the count has already built.
+    CF/CF, and witnesses (the first pair found is part of the contract),
+    gather every pair instead.
 
     The gather folds each length slice at once: fold(r, s)[k] ==
     r[fold_permutation(s)[k]], so one itemgetter per distinct permutation
@@ -151,8 +150,10 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
     key = phi.core.alphabet.sort_key
     context_free = (phi.core.context_free, phi.proc.context_free)
     if not with_witnesses and not all(context_free):
-        follow = _follow_pairs if any(context_free) else _follow_product
-        return [w for words in follow(phi, max_len) for w in sorted(words, key=key)]
+        autos = [RegularLang.from_words([w for n in lengths for w in side.enumerate_length(n)],
+                                        side.alphabet).automaton
+                 if side.context_free else side.automaton for side in (phi.core, phi.proc)]
+        return [w for words in _follow_product(*autos, max_len) for w in sorted(words, key=key)]
     witnesses: dict[str, tuple[str, str]] = {}
     for n in lengths:
         rs, ss = phi.core.enumerate_length(n), phi.proc.enumerate_length(n)
@@ -182,8 +183,9 @@ def _length_masks(auto, max_len: int) -> list[int]:
     return masks
 
 
-def _follow_product(phi: FSystem, max_len: int) -> list[set[str]]:
-    """REG/REG members of each length 0..max_len, from the two DFAs.
+def _follow_product(core, proc, max_len: int) -> list[set[str]]:
+    """The folds of each length 0..max_len, r accepted by the core DFA
+    and s by the procedure DFA.
 
     The reachable product is walked forward one step at a time, and each
     product state keeps the set of fold stacks of the prefix pairs that
@@ -191,7 +193,6 @@ def _follow_product(phi: FSystem, max_len: int) -> list[set[str]]:
     state is dropped when no accepting pair is reachable from it in the
     steps left; the two sides step independently, so that is a common
     set bit of their length masks."""
-    core, proc = phi.core.automaton, phi.proc.automaton
     live_core, live_proc = _length_masks(core, max_len), _length_masks(proc, max_len)
     layer = {(core.start, proc.start): {""}}
     by_length = []
@@ -211,67 +212,6 @@ def _follow_product(phi: FSystem, max_len: int) -> list[set[str]]:
                     following.setdefault((r, down), set()).update(
                         [stack + a for stack in stacks])
         layer = following
-    return by_length
-
-
-def _follow_pairs(phi: FSystem, max_len: int) -> list[set[str]]:
-    """CF/REG and REG/CF members of each length 0..max_len.
-
-    A fold's output is its up-letters reversed, then its down-letters.  A
-    normal-form nonterminal A of the context-free side, spanning a stretch
-    that the regular side's DFA runs through from state q to state q2 in l
-    steps, yields the pairs (x, y): x the reversed up-letters of the core
-    stretch, y its down-letters.  A -> B C gives (x_C + x_B, y_B + y_C);
-    a terminal step gives (a, "") when it folds up and ("", a) when down.
-    The pair sets are built per (A, q, q2, l), deduplicated, and only for
-    the splits the length table allows and the middle states m that q
-    reaches in the left half's steps and that reach q2 in the right
-    half's; every entry built is non-empty."""
-    core_cf = phi.core.context_free
-    nf = (phi.core if core_cf else phi.proc).normal_form
-    auto = (phi.proc if core_cf else phi.core).automaton
-    table = nf.lengths.upto(max_len)
-    # reach[k][q]: bitmask of the states q reaches in exactly k steps
-    reach = [[1 << q for q in range(auto.n_states)]]
-    for _ in range(max_len):
-        prev = reach[-1]
-        reach.append([reduce(or_, [prev[r] for r in row.values()])
-                      for row in auto.transitions])
-
-    if core_cf:  # a core letter folds up or down as the procedure steps
-        def moves(t, q):
-            row = auto.transitions[q]
-            return ((row["u"], (t, "")), (row["d"], ("", t)))
-    else:  # a procedure step folds each core letter up or down
-        def moves(t, q):
-            return [(r, (a, "") if t == "u" else ("", a))
-                    for a, r in auto.transitions[q].items()]
-
-    def parts(node):
-        a, q, q2, l = node
-        if l == 1:
-            return []
-        return [((b, q, m, s), (c, m, q2, l - s))
-                for b, c in nf.bin_prods[a] for s in table.splits(b, c, l)
-                for m in set_bits(reach[s][q]) if reach[l - s][m] >> q2 & 1]
-
-    def combine(node, entries):
-        a, q, q2, l = node
-        if l == 1:
-            return {pair for t in nf.term_prods[a] for r, pair in moves(t, q) if r == q2}
-        return {(xc + xb, yb + yc)
-                for left, right in entries for xb, yb in left for xc, yc in right}
-
-    memo: dict[tuple, set[tuple[str, str]]] = {}
-    by_length = [{""} if nf.start_epsilon and auto.start in auto.accepting else set()]
-    for n in range(1, max_len + 1):
-        words: set[str] = set()
-        if table.bits[nf.start] >> n & 1:
-            for f in set_bits(reach[n][auto.start]):
-                if f in auto.accepting:
-                    words.update(x + y for x, y in fill(
-                        memo, (nf.start, auto.start, f, n), parts, combine))
-        by_length.append(words)
     return by_length
 
 

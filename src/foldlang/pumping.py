@@ -442,10 +442,12 @@ def verify_family(family: PumpFamily, phi: FSystem, i_range=None) -> Verificatio
 def refute_unary_family(predicate, family: PumpFamily, bound: int = 64) -> int | None:
     """Smallest i <= bound whose pumped-string length fails the predicate,
     or None.  All family parts must use a single symbol, so only the
-    length matters."""
+    length matters, and some pumped part must be non-empty."""
     symbols = {ch for p in family.parts for ch in p}
     if len(symbols) > 1:
         raise FoldlangError(f"family is not unary: symbols {sorted(symbols)}")
+    if family.pumped_total == 0:
+        raise FoldlangError("family pumps nothing: total pumped length is 0")
     for i in range(bound + 1):
         if not predicate(family.length_at(i)):
             return i

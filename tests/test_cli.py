@@ -222,6 +222,19 @@ def test_refute_unary_rejects_mixed_alphabet(capsys, tmp_path):
     assert "unary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family,predicate", [
+    ('{"parts": ["a", ""], "pumped": [1], "lemma": "L1", "j0": 0}', "primes"),
+    ('{"parts": ["a"], "pumped": [], "lemma": "L1", "j0": 0}', "even"),
+])
+def test_refute_unary_rejects_family_that_pumps_nothing(capsys, tmp_path, family, predicate):
+    fam_path = tmp_path / "still.json"
+    fam_path.write_text(family, encoding="utf-8")
+    assert run(["refute-unary", "--predicate", predicate,
+                "--family", str(fam_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "pumped length is 0" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["enum", "x.fsys", "--max-len", "-1"],
     ["pump", "x.fsys", "--imax", "-1"],

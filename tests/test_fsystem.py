@@ -53,13 +53,16 @@ def pairwise_witnesses(phi, max_len):
     ("S -> a S b | eps", "(ud)*"),
     ("(ab)*|b", "S -> u S d S | eps"),
     ("S -> a S b S | b | eps", "S -> u S d | d | eps"),
+    ("(ab)*", "S -> u S | d S | eps"),
+    ("S -> a S | b S | eps", "(ud)*"),
+    ("S -> a S b | eps", "d(u|d)*"),
 ])
 def test_gathered_enumeration_matches_pairwise_folds(core, proc):
     phi = system(core, proc)
     got = fs_enumerate(phi, 9, with_witnesses=True)
     assert list(got.items()) == list(pairwise_witnesses(phi, 9).items())
-    # the plain listing takes the output-following route when one side is
-    # regular and the procedure has several strings at some length
+    # the plain listing walks the product of two DFAs when one side is
+    # regular, a context-free side entering as the DFA of its slices
     assert fs_enumerate(phi, 9) == sorted(got, key=lambda w: (len(w), AB.sort_key(w)))
 
 

@@ -331,6 +331,16 @@ def test_refutation_requires_unary_family():
         refute_unary_family(is_prime, family)
 
 
+@pytest.mark.parametrize("family", [
+    PumpFamily(("a", ""), (1,), "L1", 0),
+    PumpFamily(("a",), (), "L1", 0),
+])
+def test_refutation_requires_pumped_length(family):
+    # every pumped string is the same word, so a failing i refutes nothing
+    with pytest.raises(FoldlangError, match="pumped length is 0"):
+        refute_unary_family(lambda n: n % 2 == 0, family)
+
+
 def test_refutation_on_emitted_families():
     # every pumped a^* family leaves the primes language
     phi = system("a*", "S -> u S d | eps")
