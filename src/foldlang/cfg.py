@@ -425,6 +425,8 @@ class ContextFreeLang:
         returned.  The count is then surely over budget: a slice under
         (start, n) is only joined to non-empty slices, so it is no larger
         than slice n."""
+        if budget is not None and budget < 0:
+            raise ValueError("budget must be >= 0")
         if n < 0:
             return 0
         try:

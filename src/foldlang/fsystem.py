@@ -5,12 +5,12 @@ language over {u, d}; its language is every fold of an equal-length
 pair.  Each component is seen through the `Language` protocol, which the
 regular and the context-free engine both implement.
 
-Both slices at a length are counted before either is built, and a length
-with more candidate pairs than the cap is refused.  Membership tries
-every equal-length pair, which is exponential but exact at desk scale.
-Enumeration follows the output when one side is regular: a fold grows
-its output from the middle out, so it is a forward walk over the product
-of two DFAs.  A context-free side enters the walk as the minimal DFA of
+Each side is counted once, regular first, against what the pair cap
+leaves, before any slice is built.  Membership tries every equal-length
+pair, exponential but exact at desk scale.  Enumeration follows the
+output when one side is regular: a fold grows its output from the middle
+out, so it walks the product of two DFAs forward, up to the last length
+with pairs.  A context-free side enters the walk as the minimal DFA of
 the slices the pair check has already built to count them.  CF/CF, and
 enumeration with witnesses, gather every pair.
 """
@@ -54,7 +54,8 @@ class Language(Protocol):
 
     def count_length(self, n: int, budget: int | None = None) -> int:
         """The number of members of length n, exact; 0 when n < 0.  With a
-        budget, a count over it may stop early and return budget + 1."""
+        budget, a count over it may stop early and return budget + 1;
+        ValueError when budget < 0."""
 
     def has_length(self, n: int) -> bool:
         """Whether some member has length n; False when n < 0."""
@@ -89,31 +90,21 @@ class FSystem:
             raise AlphabetError("procedure language must use alphabet {u, d}")
 
 
-def _digits(count: int, pair_cap: int) -> str:
-    """count in decimal, or "(more than pair_cap)" past str()'s digit limit."""
-    try:
-        return str(count)
-    except ValueError:
-        return f"(more than {pair_cap})"
-
-
 def _has_pairs(phi: FSystem, n: int, pair_cap: int) -> bool:
     """Whether both slices at length n are non-empty, read from the length
-    tables.  Only then are both slices counted, before either is built:
-    ResourceLimit when they give more than pair_cap candidate pairs.  Each
-    side's count stops past pair_cap // the other side's (regular, so
-    exact) count, or past pair_cap when the other side is context-free."""
-    sides = (phi.core, phi.proc)
-    if not all(side.has_length(n) for side in sides):
+    tables.  Only then is each side counted, regular first (a table lookup),
+    against pair_cap // the counts before it.  A side over that budget makes
+    a product over the cap: ResourceLimit, and a later side is not counted."""
+    sides = (("core", phi.core), ("procedure", phi.proc))
+    if not all(side.has_length(n) for _, side in sides):
         return False
-    known = [1 if side.context_free else side.count_length(n) for side in sides]
-    budgets = [pair_cap // k for k in reversed(known)]
-    counts = [side.count_length(n, b) for side, b in zip(sides, budgets)]
-    if counts[0] * counts[1] > pair_cap:
-        shown = [f"(more than {b})" if side.context_free and c > b else _digits(c, pair_cap)
-                 for side, c, b in zip(sides, counts, budgets)]
-        raise ResourceLimit(f"{shown[0]}x{shown[1]} candidate pairs at length {n} "
-                            f"exceed the cap of {pair_cap}")
+    budget, before = pair_cap, ""
+    for name, side in sorted(sides, key=lambda named: named[1].context_free):
+        count = side.count_length(n, budget)
+        if count > budget:
+            raise ResourceLimit(f"{name} slice at length {n} has more than {budget} "
+                                f"strings{before}: over the cap of {pair_cap} candidate pairs")
+        budget, before = budget // count, f", against {count} {name} strings"
     return True
 
 
@@ -124,13 +115,15 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
     With with_witnesses=True, returns a dict mapping each member to one
     witnessing (r, s) pair (the first found in enumeration order).
 
-    Both slices are counted at every length first, and ResourceLimit is
-    raised at the first length with more than pair_cap candidate pairs.
+    Both slices are counted at every length first (`_has_pairs`), and
+    ResourceLimit is raised at the first length with more than pair_cap
+    candidate pairs; ValueError when max_len or pair_cap is negative.
 
     When one side is regular, the members are built by following the
     output over the product of two DFAs (`_follow_product`), so the work
     grows with L(Phi) rather than with |core slice| x |procedure slice|.
-    A context-free side enters as the minimal DFA (`from_words`) of its
+    The walk ends at the last length with pairs, not at max_len.  A
+    context-free side enters as the minimal DFA (`from_words`) of its
     slices at the lengths with pairs, which the count has already built.
     CF/CF, and witnesses (the first pair found is part of the contract),
     gather every pair instead.
@@ -144,16 +137,16 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
     returns at the first match, so a gather table built up front for the
     whole procedure slice can cost more than the folds it saves.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+    if min(max_len, pair_cap) < 0:
+        raise ValueError("max_len and pair_cap must be >= 0")
     lengths = [n for n in range(max_len + 1) if _has_pairs(phi, n, pair_cap)]
     key = phi.core.alphabet.sort_key
-    context_free = (phi.core.context_free, phi.proc.context_free)
-    if not with_witnesses and not all(context_free):
+    if not with_witnesses and not (phi.core.context_free and phi.proc.context_free):
         autos = [RegularLang.from_words([w for n in lengths for w in side.enumerate_length(n)],
                                         side.alphabet).automaton
                  if side.context_free else side.automaton for side in (phi.core, phi.proc)]
-        return [w for words in _follow_product(*autos, max_len) for w in sorted(words, key=key)]
+        walk = _follow_product(*autos, max(lengths, default=0))
+        return [w for words in walk for w in sorted(words, key=key)]
     witnesses: dict[str, tuple[str, str]] = {}
     for n in lengths:
         rs, ss = phi.core.enumerate_length(n), phi.proc.enumerate_length(n)
@@ -217,9 +210,11 @@ def _follow_product(core, proc, max_len: int) -> list[set[str]]:
 
 def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
               with_witness: bool = False):
-    """Decide w in L(Phi) by exhausting equal-length pairs at |w|.  A fold
-    permutes r, so a w with a symbol outside the core alphabet is refused
-    before any slice is built."""
+    """Decide w in L(Phi) by exhausting equal-length pairs at |w|;
+    ValueError when pair_cap < 0.  A fold permutes r, so a w with a symbol
+    outside the core alphabet is refused before any slice is built."""
+    if pair_cap < 0:
+        raise ValueError("pair_cap must be >= 0")
     rs = ss = ()
     if all(ch in phi.core.alphabet for ch in w) and _has_pairs(phi, len(w), pair_cap):
         rs, ss = phi.core.enumerate_length(len(w)), phi.proc.enumerate_length(len(w))

@@ -427,6 +427,8 @@ class RegularLang:
     def count_length(self, n: int, budget: int | None = None) -> int:
         """Exact, from the length table, whatever the budget; no string is
         built."""
+        if budget is not None and budget < 0:
+            raise ValueError("budget must be >= 0")
         return self.automaton.counts(n)[n].get(self.automaton.start, 0) if n >= 0 else 0
 
     def has_length(self, n: int) -> bool:

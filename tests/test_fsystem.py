@@ -1,6 +1,7 @@
 """F-system semantics: enumeration, membership, pairing, spec files."""
 
 import itertools
+import re
 import string
 
 import pytest
@@ -147,18 +148,66 @@ def test_pair_cap_is_checked_from_counts(monkeypatch):
 
     monkeypatch.setattr(RegularLang, "enumerate_length", build_slice)
     phi = system("(a|b)*", "(u|d)*")
-    with pytest.raises(ResourceLimit, match="^1048576x1048576 candidate pairs at length 20 "):
+    with pytest.raises(ResourceLimit, match="^core slice at length 20 has more than 500000 "
+                                            "strings: over the cap of 500000 candidate pairs$"):
         fs_member(phi, "ab" * 10)
-    with pytest.raises(ResourceLimit, match="^16x16 candidate pairs at length 4 "):
+    # the procedure's budget is the cap over the core's count: 100 // 16
+    with pytest.raises(ResourceLimit, match="^procedure slice at length 4 has more than 6 "
+                                            "strings, against 16 core strings: over the cap "):
         fs_enumerate(phi, 9, pair_cap=100)
-    # 26^3100 has 4,387 digits, more than str() converts: it is shown by the cap
+    # 26^3100 has 4,387 digits: a refusal shows budgets and kept counts, never a count over the cap
     letters = Alphabet(string.ascii_lowercase)
     phi = system(f"({'|'.join(letters)})*", "(u|d)*", letters)
-    with pytest.raises(ResourceLimit, match=r"^\(more than 500000\)x\d+ candidate pairs "
-                                            r"at length 3100 "):
+    with pytest.raises(ResourceLimit, match="^core slice at length 3100 has more than 500000 "
+                                            "strings: ") as refusal:
         fs_member(phi, "a" * 3100)
+    assert max(map(int, re.findall(r"\d+", str(refusal.value)))) <= 500000
     # an empty core slice has no pairs, whatever the procedure's size
     assert fs_member(system("(aa)*", "(u|d)*"), "a" * 21, pair_cap=0) is False
+
+
+def test_negative_pair_cap_is_refused_before_any_slice(monkeypatch):
+    def no_slice(self, n, budget=None):
+        raise AssertionError(f"slice {n} counted or built")
+
+    for engine in (RegularLang, ContextFreeLang):
+        monkeypatch.setattr(engine, "enumerate_length", no_slice)
+        monkeypatch.setattr(engine, "count_length", no_slice)
+    for phi in (system("(a|b)*", "(u|d)*"), system("S -> a S b S | eps", "S -> u S d S | eps")):
+        for call in (lambda: fs_member(phi, "ab", pair_cap=-1),
+                     lambda: fs_member(phi, "zz", pair_cap=-1),
+                     lambda: fs_enumerate(phi, 4, pair_cap=-1)):
+            with pytest.raises(ValueError, match="pair_cap"):
+                call()
+
+
+def slice_size(lang, symbols, n):
+    """|lang's slice at n|, by asking member of every string in symbols^n."""
+    return sum(map(lang.member, map("".join, itertools.product(symbols, repeat=n))))
+
+
+def refused(call):
+    try:
+        call()
+    except ResourceLimit:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("core_cf,proc_cf", itertools.product((False, True), repeat=2),
+                         ids=["REG/REG", "REG/CF", "CF/REG", "CF/CF"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pair_cap_refuses_exactly_the_products_over_it(core_cf, proc_cf, data):
+    phi = FSystem(data.draw(languages(AB, core_cf)),
+                  data.draw(languages(PROC_ALPHABET, proc_cf)))
+    n = data.draw(st.integers(0, 5))
+    products = [slice_size(phi.core, AB.symbols, m) * slice_size(phi.proc, "ud", m)
+                for m in range(n + 1)]
+    p = products[n]
+    for cap in {0, max(p - 1, 0), p, p + 1}:
+        assert refused(lambda: fs_member(phi, "a" * n, pair_cap=cap)) == (p > cap)
+        assert refused(lambda: fs_enumerate(phi, n, pair_cap=cap)) == (max(products) > cap)
 
 
 def test_pair_check_reads_both_length_tables_first(monkeypatch):
@@ -174,17 +223,16 @@ def test_pair_check_reads_both_length_tables_first(monkeypatch):
 def test_context_free_count_stops_at_its_budget():
     dyck = "S -> a S b S | eps"
     phi = system(dyck, "S -> u S d S | eps")
-    # CF/CF: each side is counted against the cap itself
-    with pytest.raises(ResourceLimit, match=r"^\(more than 1000\)x\(more than 1000\) "
-                                            r"candidate pairs at length 252 "):
+    # CF/CF: the core is counted against the cap itself, and refused first
+    with pytest.raises(ResourceLimit, match="^core slice at length 252 has more than 1000 "
+                                            "strings: over the cap of 1000 candidate pairs$"):
         fs_member(phi, "ab" * 126, pair_cap=1000)
-    # no slice past the budget was kept, on either side
-    for side in (phi.core, phi.proc):
-        assert 0 < max(map(len, side._strings.values())) <= 1000
-    # REG/CF: the context-free budget is the cap over the regular count
-    with pytest.raises(ResourceLimit, match=r"^1024x\(more than 0\) candidate pairs at length 10 "):
-        fs_member(system("(a|b)*", "S -> u S d S | eps"), "ab" * 5, pair_cap=1000)
-    with pytest.raises(ResourceLimit, match=r"^\(more than 3\)x256 candidate pairs at length 8 "):
+    # no core slice past the budget was kept, and the procedure was never counted
+    assert 0 < max(map(len, phi.core._strings.values())) <= 1000
+    assert phi.proc._strings == {}
+    # CF/REG: the regular side goes first, and the core's budget is 1000 // 256
+    with pytest.raises(ResourceLimit, match="^core slice at length 8 has more than 3 strings, "
+                                            "against 256 procedure strings: over the cap "):
         fs_enumerate(system(dyck, "(u|d)*"), 8, pair_cap=1000)
     # under budget the count is exact, and over it one past the budget
     lang = ContextFreeLang(dyck, AB)
@@ -197,6 +245,16 @@ def test_context_free_count_stops_at_its_budget():
     assert fixed.count_length(12, 100) == 101
     assert max(map(len, fixed._strings.values())) <= 100
     assert fixed.count_length(12) == 4096
+
+
+def test_regular_side_over_the_cap_is_refused_before_the_other_is_counted(monkeypatch):
+    def no_count(self, n, budget=None):
+        raise AssertionError(f"context-free slice {n} counted")
+
+    monkeypatch.setattr(ContextFreeLang, "count_length", no_count)
+    with pytest.raises(ResourceLimit, match="^core slice at length 10 has more than 1000 "
+                                            "strings: over the cap of 1000 candidate pairs$"):
+        fs_member(system("(a|b)*", "S -> u S d S | eps"), "ab" * 5, pair_cap=1000)
 
 
 def test_foreign_symbol_is_refused_before_any_slice():

@@ -27,6 +27,9 @@ def test_engines_agree_on_every_query(regex, grammar):
         assert reg.has_length(n) == cf.has_length(n)
         assert reg.smallest_of_length(n) == cf.smallest_of_length(n)
         assert reg.count_length(n) == cf.count_length(n)
+        for lang, budget in itertools.product((reg, cf), (-1, -5)):
+            with pytest.raises(ValueError, match="budget"):
+                lang.count_length(n, budget)
         if n < 0:
             for lang in (reg, cf):
                 with pytest.raises(ValueError):
