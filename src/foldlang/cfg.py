@@ -33,6 +33,10 @@ from .graph import closure, fill, has_cycle, set_bits
 
 _NONTERM = re.compile(r"[A-Z][A-Za-z0-9_]*$")
 
+#: Most epsilon-free variants one right-hand side may expand to: k nullable
+#: symbols make up to 2^k - 1 of them.
+MAX_EPSILON_VARIANTS = 2 ** 16
+
 
 @dataclass
 class Grammar:
@@ -206,10 +210,15 @@ def _prune_useless(nonterminals, prods, start):
 
 def _drop_nullable(rhs, nullable) -> set[tuple[str, ...]]:
     """The distinct non-empty subsequences of rhs that keep every symbol
-    not in nullable, built one symbol at a time."""
+    not in nullable, built one symbol at a time; ResourceLimit past
+    MAX_EPSILON_VARIANTS of them.  Their number never falls as symbols
+    are added, so the check is made after each one."""
     kept = {()}
     for s in rhs:
         kept = {k + (s,) for k in kept} | (kept if s in nullable else set())
+        if len(kept) - (() in kept) > MAX_EPSILON_VARIANTS:
+            raise ResourceLimit(f"a right-hand side of {len(rhs)} symbols has more than "
+                                f"{MAX_EPSILON_VARIANTS} epsilon-free variants")
     return kept - {()}
 
 
@@ -250,13 +259,15 @@ def to_normal_form(g: Grammar) -> _NormalFormGrammar:
     term_prods: dict[str, list[str]] = {nt: [] for nt in order}
     term_nt: dict[str, str] = {}
     suffix_nt: dict[tuple[str, ...], str] = {}
+    taken: dict[str, int] = {}  # base -> a k whose every smaller k is taken
 
     def fresh(base):
-        name = base
-        k = 0
+        k = taken.get(base, 0)
+        name = f"{base}{k or ''}"
         while name in bin_prods:
             k += 1
             name = f"{base}{k}"
+        taken[base] = k + 1
         order.append(name)
         bin_prods[name] = []
         term_prods[name] = []
@@ -424,14 +435,17 @@ class ContextFreeLang:
         budget, building stops at the first join over it and budget + 1 is
         returned.  The count is then surely over budget: a slice under
         (start, n) is only joined to non-empty slices, so it is no larger
-        than slice n."""
+        than slice n.  A refused call drops the memo entries it added."""
         if budget is not None and budget < 0:
             raise ValueError("budget must be >= 0")
         if n < 0:
             return 0
+        kept = len(self._strings)
         try:
             return len(self._slice(n, budget))
         except ResourceLimit:
+            while len(self._strings) > kept:
+                self._strings.popitem()
             return budget + 1
 
     def _slice(self, n: int, budget: int | None) -> tuple[str, ...]:

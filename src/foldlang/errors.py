@@ -43,7 +43,9 @@ class CaseValidationFailed(FoldlangError):
 
 
 class ResourceLimit(FoldlangError):
-    """Exhaustive pairing exceeded the configured candidate cap."""
+    """A computation would pass a size bound: the candidate-pair cap of
+    exhaustive pairing, a slice count's budget, or the epsilon-free
+    variants of one grammar right-hand side."""
 
 
 class SpecFileError(FoldlangError):

@@ -6,13 +6,12 @@ pair.  Each component is seen through the `Language` protocol, which the
 regular and the context-free engine both implement.
 
 Each side is counted once, regular first, against what the pair cap
-leaves, before any slice is built.  Membership tries every equal-length
-pair, exponential but exact at desk scale.  Enumeration follows the
-output when one side is regular: a fold grows its output from the middle
-out, so it walks the product of two DFAs forward, up to the last length
-with pairs.  A context-free side enters the walk as the minimal DFA of
-the slices the pair check has already built to count them.  CF/CF, and
-enumeration with witnesses, gather every pair.
+leaves, before any slice is built.  Membership, CF/CF and witnesses fold
+every equal-length pair (`_folds`), exponential but exact at desk scale.
+Enumeration otherwise follows the output: a fold grows its output from
+the middle out, so it walks the product of two DFAs forward, up to the
+last length with pairs.  A context-free side enters the walk as the
+minimal DFA of the slices the pair check has already built to count them.
 """
 
 from __future__ import annotations
@@ -112,8 +111,9 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
                  with_witnesses: bool = False):
     """All members of L(Phi) of length <= max_len, sorted by (length, lex).
 
-    With with_witnesses=True, returns a dict mapping each member to one
-    witnessing (r, s) pair (the first found in enumeration order).
+    With with_witnesses=True, returns a dict mapping each member to its
+    least witnessing (r, s) pair: the least r in core order, then the
+    least s in procedure order.
 
     Both slices are counted at every length first (`_has_pairs`), and
     ResourceLimit is raised at the first length with more than pair_cap
@@ -125,17 +125,8 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
     The walk ends at the last length with pairs, not at max_len.  A
     context-free side enters as the minimal DFA (`from_words`) of its
     slices at the lengths with pairs, which the count has already built.
-    CF/CF, and witnesses (the first pair found is part of the contract),
-    gather every pair instead.
-
-    The gather folds each length slice at once: fold(r, s)[k] ==
-    r[fold_permutation(s)[k]], so one itemgetter per distinct permutation
-    folds every r.  Direction strings that differ only in their first step
-    (it lands on an empty stack) share a permutation; the earliest is kept,
-    and r stays in the outer loop, so the first witness found is the one
-    pair-by-pair folding finds.  fs_member keeps folding pair by pair: it
-    returns at the first match, so a gather table built up front for the
-    whole procedure slice can cost more than the folds it saves.
+    CF/CF, and witnesses (the least pair is part of the contract), take
+    every fold from `_folds` instead, keeping the first pair per fold.
     """
     if min(max_len, pair_cap) < 0:
         raise ValueError("max_len and pair_cap must be >= 0")
@@ -149,18 +140,9 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
         return [w for words in walk for w in sorted(words, key=key)]
     witnesses: dict[str, tuple[str, str]] = {}
     for n in lengths:
-        rs, ss = phi.core.enumerate_length(n), phi.proc.enumerate_length(n)
-        gathers: dict[tuple[int, ...], tuple] = {}
-        for s in ss:
-            perm = tuple(fold_permutation(s))
-            if perm not in gathers:
-                # itemgetter needs an index; the empty fold gathers nothing
-                gathers[perm] = (itemgetter(*perm) if perm else lambda r: r, s)
-        for r in rs:
-            for gather, s in gathers.values():
-                w = "".join(gather(r))
-                if w not in witnesses:
-                    witnesses[w] = (r, s)
+        for w, r, s in _folds(phi, n):
+            if w not in witnesses:
+                witnesses[w] = (r, s)
     if with_witnesses:
         return witnesses
     return sorted(witnesses, key=lambda w: (len(w), key(w)))
@@ -208,19 +190,37 @@ def _follow_product(core, proc, max_len: int) -> list[set[str]]:
     return by_length
 
 
+def _folds(phi: FSystem, n: int):
+    """(fold(r, s), r, s) for the pairs at n, a length with pairs: r outer
+    and s inner in slice order, the least pair of each fold first.  An s is
+    paired only if it is the first with its tail s[1:]: the first step lands
+    on an empty stack, so the fold depends on the tail alone.  The first r
+    is folded pair by pair, so a caller that stops early does no more work;
+    each later r is gathered, fold(r, s)[k] == r[fold_permutation(s)[k]],
+    by one itemgetter per kept s, built only when there is a second r."""
+    rs, ss = phi.core.enumerate_length(n), phi.proc.enumerate_length(n)
+    kept = {}
+    for s in ss:
+        if s[1:] not in kept:
+            kept[s[1:]] = s
+            yield fold(rs[0], s), rs[0], s
+    gathers = [(itemgetter(*fold_permutation(s)), s)
+               for s in (kept.values() if len(rs) > 1 else ())]
+    for r in rs[1:]:
+        for gather, s in gathers:
+            yield "".join(gather(r)), r, s
+
+
 def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
               with_witness: bool = False):
-    """Decide w in L(Phi) by exhausting equal-length pairs at |w|;
-    ValueError when pair_cap < 0.  A fold permutes r, so a w with a symbol
-    outside the core alphabet is refused before any slice is built."""
+    """Decide w in L(Phi) by the folds at |w| (`_folds`), the witness the
+    least pair; ValueError when pair_cap < 0.  A fold permutes r, so a w
+    with a symbol outside the core alphabet is refused before any slice."""
     if pair_cap < 0:
         raise ValueError("pair_cap must be >= 0")
-    rs = ss = ()
     if all(ch in phi.core.alphabet for ch in w) and _has_pairs(phi, len(w), pair_cap):
-        rs, ss = phi.core.enumerate_length(len(w)), phi.proc.enumerate_length(len(w))
-    for r in rs:
-        for s in ss:
-            if fold(r, s) == w:
+        for folded, r, s in _folds(phi, len(w)):
+            if folded == w:
                 return (True, (r, s)) if with_witness else True
     return (False, None) if with_witness else False
 

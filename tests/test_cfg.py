@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from foldlang import Alphabet, ContextFreeLang, cfg, parse_grammar, to_normal_form
 from foldlang.cfg import _drop_nullable, _nullable_set, _prune_useless
-from foldlang.errors import DecompositionError, GrammarSyntaxError
+from foldlang.errors import DecompositionError, GrammarSyntaxError, ResourceLimit
 
 from conftest import AB, small_grammars
 
@@ -311,6 +311,32 @@ def test_long_nullable_right_hand_side():
     assert lang.normal_form.start_epsilon
     assert time.perf_counter() - start < 1.0
     assert lang.has_length(40) and not lang.has_length(41)
+
+
+def nullable_run(k):
+    """S -> A0 ... A(k-1), each Ai -> a | eps: 2^k - 1 epsilon-free variants."""
+    return "S -> " + " ".join(f"A{i}" for i in range(k)) + "".join(
+        f"\nA{i} -> a | eps" for i in range(k))
+
+
+def test_nullable_run_builds_up_to_the_variant_bound():
+    lang = ContextFreeLang(nullable_run(16), AB)  # 65,535 variants
+    assert lang.member("a" * 16) and not lang.member("a" * 17)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="more than 65536 epsilon-free variants"):
+        ContextFreeLang(nullable_run(20), AB)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_fresh_names_skip_declared_ones():
+    # X1, X3 and T_a are declared: the chain links take X, X2, X4, ... in
+    # order, and the lifted a takes T_a1
+    nf = ContextFreeLang("S -> a b a b a b X1 | b a b X3\nX1 -> T_a b X3\nX3 -> a\n"
+                         "T_a -> a", AB).normal_form
+    assert nf.nonterminals == ("S", "X1", "X3", "T_a", "T_a1", "T_b",
+                               "X", "X2", "X4", "X5", "X6", "X7", "X8")
+    assert nf.bin_prods["S"] == [("T_a1", "X"), ("T_b", "X7")]
+    assert nf.bin_prods["X6"] == [("T_b", "X1")]
 
 
 def naive_binarize(head, rhs, bin_prods, suffix_nt, fresh):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from foldlang import (PROC_ALPHABET, Alphabet, ContextFreeLang, FSystem, RegularLang,
                       equal_length_pair, finite_language_system, fold,
-                      fs_enumerate, fs_member, parse_spec, load_spec)
+                      fs_enumerate, fs_member, fsystem, parse_spec, load_spec)
 from foldlang.errors import (AlphabetError, NoEqualLengthPair, ResourceLimit,
                              SpecFileError)
 
@@ -58,13 +58,22 @@ def pairwise_witnesses(phi, max_len):
     ("S -> a S | b S | eps", "(ud)*"),
     ("S -> a S b | eps", "d(u|d)*"),
 ])
-def test_gathered_enumeration_matches_pairwise_folds(core, proc):
+def test_gathered_enumeration_matches_pairwise_folds(core, proc, monkeypatch):
     phi = system(core, proc)
-    got = fs_enumerate(phi, 9, with_witnesses=True)
-    assert list(got.items()) == list(pairwise_witnesses(phi, 9).items())
-    # the plain listing walks the product of two DFAs when one side is
-    # regular, a context-free side entering as the DFA of its slices
-    assert fs_enumerate(phi, 9) == sorted(got, key=lambda w: (len(w), AB.sort_key(w)))
+    # at n = 1 a gather is a one-index itemgetter, which returns a str
+    for max_len in (0, 1, 9):
+        got = fs_enumerate(phi, max_len, with_witnesses=True)
+        assert list(got.items()) == list(pairwise_witnesses(phi, max_len).items())
+        # the plain listing walks the product of two DFAs when one side is
+        # regular, a context-free side entering as the DFA of its slices
+        assert fs_enumerate(phi, max_len) == sorted(got, key=lambda w: (len(w), AB.sort_key(w)))
+
+    def no_gather(*indices):
+        raise AssertionError(f"gather {indices} built")
+
+    # a slice at n = 0 holds the empty string at most: nothing to gather
+    monkeypatch.setattr(fsystem, "itemgetter", no_gather)
+    assert fs_enumerate(phi, 0, with_witnesses=True) == pairwise_witnesses(phi, 0)
 
 
 def languages(alphabet, context_free):
@@ -75,13 +84,18 @@ def languages(alphabet, context_free):
 
 
 def fold_oracle(phi, n):
-    """Every fold of an equal-length pair at length n, found by asking
-    member of every string in Sigma^n and {u, d}^n."""
-    rs = [r for r in map("".join, itertools.product(AB.symbols, repeat=n))
-          if phi.core.member(r)]
-    ss = [s for s in map("".join, itertools.product("ud", repeat=n))
-          if phi.proc.member(s)]
-    return {fold(r, s) for r in rs for s in ss}
+    """Every fold of an equal-length pair at length n, mapped to its least
+    pair: r by core order, then s by procedure order.  The pairs are found
+    by asking member of every string in Sigma^n and {u, d}^n."""
+    def members(lang):
+        strings = map("".join, itertools.product(lang.alphabet.symbols, repeat=n))
+        return sorted(filter(lang.member, strings), key=lang.alphabet.sort_key)
+
+    least = {}
+    for r in members(phi.core):
+        for s in members(phi.proc):
+            least.setdefault(fold(r, s), (r, s))
+    return least
 
 
 @pytest.mark.parametrize("core_cf,proc_cf", itertools.product((False, True), repeat=2),
@@ -91,15 +105,16 @@ def fold_oracle(phi, n):
 def test_generated_systems_match_fold_oracle(core_cf, proc_cf, data):
     phi = FSystem(data.draw(languages(AB, core_cf)),
                   data.draw(languages(PROC_ALPHABET, proc_cf)))
-    members = [sorted(fold_oracle(phi, n), key=AB.sort_key) for n in range(6)]
-    assert fs_enumerate(phi, 5) == [w for ws in members for w in ws]
+    least = [fold_oracle(phi, n) for n in range(6)]
+    assert fs_enumerate(phi, 5) == [w for n in range(6) for w in sorted(least[n], key=AB.sort_key)]
+    assert list(fs_enumerate(phi, 5, with_witnesses=True).items()) == list(
+        pairwise_witnesses(phi, 5).items())
     for n in range(6):
         for w in map("".join, itertools.product(AB.symbols, repeat=n)):
             ok, witness = fs_member(phi, w, with_witness=True)
-            assert ok == (w in members[n]), w
-            if ok:
-                r, s = witness
-                assert fold(r, s) == w and phi.core.member(r) and phi.proc.member(s)
+            assert ok == (w in least[n]), w
+            # the witness is the least pair that folds to w
+            assert witness == least[n].get(w), w
 
 
 def test_membership():
@@ -109,6 +124,31 @@ def test_membership():
     assert ok and fold(r, s) == "aaaabbb"
     ok, witness = fs_member(BB_FRONT, "bbbbbbb", with_witness=True)
     assert not ok and witness is None
+
+
+def test_member_stops_at_its_witness(monkeypatch):
+    folded = []
+
+    def counted_fold(r, s):
+        folded.append(s)
+        return fold(r, s)
+
+    def no_permutation(s):
+        raise AssertionError(f"gather built for {s!r}")
+
+    monkeypatch.setattr(fsystem, "fold", counted_fold)
+    monkeypatch.setattr(fsystem, "fold_permutation", no_permutation)
+    phi = system("(ab)*", "(u|d)*")  # one core string per even length
+    kept = {}  # the first direction string of each tail, in slice order
+    for s in phi.proc.enumerate_length(6):
+        kept.setdefault(s[1:], s)
+    for k, s in enumerate(kept.values(), 1):
+        folded.clear()
+        assert fs_member(phi, fold("ababab", s))
+        assert len(folded) <= k
+    folded.clear()
+    assert not fs_member(phi, "aaaaaa")
+    assert folded == list(kept.values())
 
 
 def test_membership_with_cf_components():
@@ -223,12 +263,15 @@ def test_pair_check_reads_both_length_tables_first(monkeypatch):
 def test_context_free_count_stops_at_its_budget():
     dyck = "S -> a S b S | eps"
     phi = system(dyck, "S -> u S d S | eps")
+    phi.core.enumerate_length(6)
+    memo = dict(phi.core._strings)
     # CF/CF: the core is counted against the cap itself, and refused first
     with pytest.raises(ResourceLimit, match="^core slice at length 252 has more than 1000 "
                                             "strings: over the cap of 1000 candidate pairs$"):
         fs_member(phi, "ab" * 126, pair_cap=1000)
-    # no core slice past the budget was kept, and the procedure was never counted
-    assert 0 < max(map(len, phi.core._strings.values())) <= 1000
+    # the refused count left the core's memo as it found it, and the
+    # procedure was never counted
+    assert phi.core._strings == memo
     assert phi.proc._strings == {}
     # CF/REG: the regular side goes first, and the core's budget is 1000 // 256
     with pytest.raises(ResourceLimit, match="^core slice at length 8 has more than 3 strings, "
@@ -243,7 +286,7 @@ def test_context_free_count_stops_at_its_budget():
     # (a|b)^12: every join has one part, and it is refused before it is built
     fixed = ContextFreeLang("S -> " + "A " * 12 + "\nA -> a | b", AB)
     assert fixed.count_length(12, 100) == 101
-    assert max(map(len, fixed._strings.values())) <= 100
+    assert fixed._strings == {}  # unchanged by the refused count
     assert fixed.count_length(12) == 4096
 
 
