@@ -6,12 +6,13 @@ pair.  Each component is seen through the `Language` protocol, which the
 regular and the context-free engine both implement.
 
 Each side is counted once, regular first, against what the pair cap
-leaves, before any slice is built.  Membership, CF/CF and witnesses fold
-every equal-length pair (`_folds`), exponential but exact at desk scale.
-Enumeration otherwise follows the output: a fold grows its output from
-the middle out, so it walks the product of two DFAs forward, up to the
-last length with pairs.  A context-free side enters the walk as the
-minimal DFA of the slices the pair check has already built to count them.
+leaves, before any slice is built.  With a regular side, a decision and
+an enumeration walk the product of two DFAs forward: a decision keeps
+the fold window of w per product state, an enumeration (a fold grows its
+output from the middle out) the fold stacks, up to the last length with
+pairs.  A context-free side enters the walk as the minimal DFA of the
+slices the pair check has already built to count them.  CF/CF and
+witnesses fold every equal-length pair (`_folds`), exponential but exact.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ DEFAULT_LENGTH_CEILING = 512
 class Language(Protocol):
     """What the F-system, pumping and CLI code asks of a component
     language.  RegularLang and ContextFreeLang implement it, and callers
-    tell them apart only through `context_free`.  fs_enumerate's
-    output-following route also reads a regular engine's `automaton`."""
+    tell them apart only through `context_free`.  The product walks of
+    fs_member and fs_enumerate also read a regular engine's `automaton`."""
 
     #: True for a context-free engine, False for a regular one; it picks
     #: the pumping lemma and the decomposition shape.
@@ -133,10 +134,7 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
     lengths = [n for n in range(max_len + 1) if _has_pairs(phi, n, pair_cap)]
     key = phi.core.alphabet.sort_key
     if not with_witnesses and not (phi.core.context_free and phi.proc.context_free):
-        autos = [RegularLang.from_words([w for n in lengths for w in side.enumerate_length(n)],
-                                        side.alphabet).automaton
-                 if side.context_free else side.automaton for side in (phi.core, phi.proc)]
-        walk = _follow_product(*autos, max(lengths, default=0))
+        walk = _follow_product(*_automata(phi, lengths), max(lengths, default=0))
         return [w for words in walk for w in sorted(words, key=key)]
     witnesses: dict[str, tuple[str, str]] = {}
     for n in lengths:
@@ -146,6 +144,15 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
     if with_witnesses:
         return witnesses
     return sorted(witnesses, key=lambda w: (len(w), key(w)))
+
+
+def _automata(phi: FSystem, lengths) -> list:
+    """The (core, procedure) DFAs a walk runs on: a regular side's own, and
+    for a context-free side the minimal DFA (`from_words`) of its slices at
+    the given lengths, which counting them has already built."""
+    return [RegularLang.from_words([w for n in lengths for w in side.enumerate_length(n)],
+                                   side.alphabet).automaton
+            if side.context_free else side.automaton for side in (phi.core, phi.proc)]
 
 
 def _length_masks(auto, max_len: int) -> list[int]:
@@ -190,6 +197,42 @@ def _follow_product(core, proc, max_len: int) -> list[set[str]]:
     return by_length
 
 
+def _up_masks(auto, n: int) -> list[list[int]]:
+    """Per k <= n and state, bit j set iff some length-k word with exactly j
+    u steps leads from that state to acceptance."""
+    table = [[int(q in auto.accepting) for q in range(auto.n_states)]]
+    for _ in range(n):
+        table.append([table[-1][t["u"]] << 1 | table[-1][t["d"]] for t in auto.transitions])
+    return table
+
+
+def _walk_windows(core, proc, w: str) -> bool:
+    """Whether some r accepted by the core DFA and s by the procedure DFA,
+    both of length |w|, fold to w.  After t steps the fold stack of such a
+    pair is the window w[j:j+t], j the u steps still to come, so the walk
+    keeps (core state, procedure state, j) and no stack: a u step reads
+    w[j-1] and moves to j - 1, a d step reads w[j+t].  A state is kept only
+    if its core state reaches acceptance in the steps left (`_length_masks`)
+    and its procedure state does so with exactly j u steps (`_up_masks`):
+    each stands for a pair, so a layer holds at most min(pairs,
+    (|w|+1)|Q||P|) states."""
+    n = len(w)
+    live, ups = _length_masks(core, n), _up_masks(proc, n)
+    starts = ups[n][proc.start] if live[core.start] >> n & 1 else 0
+    layer = {(core.start, proc.start, j) for j in range(n + 1) if starts >> j & 1}
+    for t in range(n):
+        bit, left = 1 << (n - t - 1), ups[n - t - 1]
+        following = set()
+        for q, p, j in layer:
+            step, moves = core.transitions[q], proc.transitions[p]
+            # (procedure state, j after, index read); j2 >= 0 and the mask keep it in w
+            for p2, j2, at in ((moves["u"], j - 1, j - 1), (moves["d"], j, j + t)):
+                if j2 >= 0 and left[p2] >> j2 & 1 and live[step[w[at]]] & bit:
+                    following.add((step[w[at]], p2, j2))
+        layer = following
+    return bool(layer)
+
+
 def _folds(phi: FSystem, n: int):
     """(fold(r, s), r, s) for the pairs at n, a length with pairs: r outer
     and s inner in slice order, the least pair of each fold first.  An s is
@@ -213,24 +256,28 @@ def _folds(phi: FSystem, n: int):
 
 def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
               with_witness: bool = False):
-    """Decide w in L(Phi) by the folds at |w| (`_folds`), the witness the
-    least pair; ValueError when pair_cap < 0.  A fold permutes r, so a w
-    with a symbol outside the core alphabet is refused before any slice."""
+    """Decide w in L(Phi) once the slices at |w| pass the pair check
+    (`_has_pairs`); ValueError when pair_cap < 0.  A fold permutes r, so a
+    w with a symbol outside the core alphabet is refused before any slice.
+    With a regular side the decision walks fold windows (`_walk_windows`),
+    a context-free side entering as the DFA of its slice at |w|.  CF/CF,
+    and with_witness=True (the least pair), fold the pairs (`_folds`)."""
     if pair_cap < 0:
         raise ValueError("pair_cap must be >= 0")
+    witness = None
     if all(ch in phi.core.alphabet for ch in w) and _has_pairs(phi, len(w), pair_cap):
-        for folded, r, s in _folds(phi, len(w)):
-            if folded == w:
-                return (True, (r, s)) if with_witness else True
-    return (False, None) if with_witness else False
+        if not with_witness and not (phi.core.context_free and phi.proc.context_free):
+            return _walk_windows(*_automata(phi, [len(w)]), w)
+        witness = next(((r, s) for folded, r, s in _folds(phi, len(w)) if folded == w), None)
+    return (witness is not None, witness) if with_witness else witness is not None
 
 
 def equal_length_pair(phi: FSystem, min_len: int,
                       ceiling: int = DEFAULT_LENGTH_CEILING) -> tuple[str, str]:
     """Smallest n >= min_len with members in both components; within that
     n, the lexicographically smallest r and s."""
-    if min_len < 0:
-        raise ValueError("min_len must be >= 0")
+    if min(min_len, ceiling) < 0:
+        raise ValueError("min_len and ceiling must be >= 0")
     for n in range(min_len, min_len + ceiling + 1):
         if phi.core.has_length(n) and phi.proc.has_length(n):
             return phi.core.smallest_of_length(n), phi.proc.smallest_of_length(n)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foldlang import (PROC_ALPHABET, Alphabet, ContextFreeLang, FSystem, RegularLang,
-                      equal_length_pair, finite_language_system, fold,
-                      fs_enumerate, fs_member, fsystem, parse_spec, load_spec)
+                      auto_plan, equal_length_pair, finite_language_system, fold,
+                      fs_enumerate, fs_member, fsystem, parse_spec, plan_to_family,
+                      load_spec)
 from foldlang.errors import (AlphabetError, NoEqualLengthPair, ResourceLimit,
                              SpecFileError)
 
@@ -113,6 +114,8 @@ def test_generated_systems_match_fold_oracle(core_cf, proc_cf, data):
         for w in map("".join, itertools.product(AB.symbols, repeat=n)):
             ok, witness = fs_member(phi, w, with_witness=True)
             assert ok == (w in least[n]), w
+            # the decision alone walks fold windows when one side is regular
+            assert fs_member(phi, w) is ok, w
             # the witness is the least pair that folds to w
             assert witness == least[n].get(w), w
 
@@ -144,11 +147,58 @@ def test_member_stops_at_its_witness(monkeypatch):
         kept.setdefault(s[1:], s)
     for k, s in enumerate(kept.values(), 1):
         folded.clear()
-        assert fs_member(phi, fold("ababab", s))
+        assert fs_member(phi, fold("ababab", s), with_witness=True)[0]
         assert len(folded) <= k
     folded.clear()
-    assert not fs_member(phi, "aaaaaa")
+    assert fs_member(phi, "aaaaaa", with_witness=True) == (False, None)
     assert folded == list(kept.values())
+
+    def no_fold(r, s):
+        raise AssertionError(f"fold({r!r}, {s!r}) called")
+
+    # with a regular side, a decision walks fold windows and folds no pair
+    monkeypatch.setattr(fsystem, "fold", no_fold)
+    for s in kept.values():
+        assert fs_member(phi, fold("ababab", s)) is True
+    assert fs_member(phi, "aaaaaa") is False
+    # a CF/CF decision still folds the pairs
+    monkeypatch.setattr(fsystem, "fold", counted_fold)
+    folded.clear()
+    phi = system("S -> a S b | eps", "S -> u S d | eps")
+    assert fs_member(phi, fold("aabb", "uudd")) is True
+    assert folded
+
+
+def test_decision_builds_no_regular_slice(monkeypatch):
+    def build_slice(self, n):
+        raise AssertionError(f"slice {n} built")
+
+    monkeypatch.setattr(RegularLang, "enumerate_length", build_slice)
+    phi = system("(ab)*", "(u|d)*")  # 2^26 direction strings at n = 26
+    assert fs_member(phi, fold("ab" * 13, "u" * 13 + "d" * 13), pair_cap=10**9) is True
+    # 13 a's and 13 b's, and still no fold of (ab)^13
+    assert fs_member(phi, "ab" * 11 + "bbaa", pair_cap=10**9) is False
+
+
+#: The six systems of demos/pumping_pipelines.py, one or more per pairing.
+DEMO_SYSTEMS = [
+    ("aaaab*", "(uu)*ddd"),
+    ("S -> a S b | eps", "(ud)*"),
+    ("(ab)*", "S -> u S d | eps"),
+    ("S -> a S b | eps", "S -> u S d | eps"),
+    ("S -> a a S b | eps", "S -> u S d | eps"),
+    ("S -> a S | eps", "S -> u S | eps"),
+]
+
+
+@pytest.mark.parametrize("core,proc", DEMO_SYSTEMS)
+def test_long_family_strings_are_members_on_both_paths(core, proc):
+    phi = system(core, proc)
+    family = plan_to_family(auto_plan(phi))
+    for i in range(7):  # pump --imax 6: up to 264 symbols
+        w = family.assemble(i)
+        assert fs_member(phi, w) is True, i
+        assert fs_member(phi, w, with_witness=True)[0] is True, i
 
 
 def test_membership_with_cf_components():
@@ -219,6 +269,9 @@ def test_negative_pair_cap_is_refused_before_any_slice(monkeypatch):
                      lambda: fs_enumerate(phi, 4, pair_cap=-1)):
             with pytest.raises(ValueError, match="pair_cap"):
                 call()
+        for min_len, ceiling in ((-1, 16), (0, -1)):
+            with pytest.raises(ValueError, match="min_len and ceiling"):
+                equal_length_pair(phi, min_len, ceiling)
 
 
 def slice_size(lang, symbols, n):
