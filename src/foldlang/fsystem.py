@@ -7,16 +7,18 @@ regular and the context-free engine both implement.
 
 Each side is counted once, regular first, against what the pair cap
 leaves, before any slice is built.  With a regular side, a decision and
-an enumeration walk the product of two DFAs forward: a decision keeps
-the fold window of w per product state, an enumeration (a fold grows its
-output from the middle out) the fold stacks, up to the last length with
-pairs.  A context-free side enters the walk as the minimal DFA of the
-slices the pair check has already built to count them.  CF/CF and
+an enumeration walk the product of two DFAs forward: a decision moves
+the fold windows of w, one int of window starts per product state, all
+at once per symbol; an enumeration (a fold grows its output from the
+middle out) the fold stacks, up to the last length with pairs.  A
+context-free side enters as the minimal DFA of the slices the pair check
+has already built to count them, and keeps a decision's.  CF/CF and
 witnesses fold every equal-length pair (`_folds`), exponential but exact.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import ClassVar, Protocol
@@ -37,7 +39,9 @@ class Language(Protocol):
     """What the F-system, pumping and CLI code asks of a component
     language.  RegularLang and ContextFreeLang implement it, and callers
     tell them apart only through `context_free`.  The product walks of
-    fs_member and fs_enumerate also read a regular engine's `automaton`."""
+    fs_member and fs_enumerate also read a regular engine's `automaton`,
+    and a decision a context-free engine's `slice_automaton(n)`: the
+    minimal DFA of its slice at n, built once and kept."""
 
     #: True for a context-free engine, False for a regular one; it picks
     #: the pumping lemma and the decomposition shape.
@@ -147,22 +151,12 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
 
 
 def _automata(phi: FSystem, lengths) -> list:
-    """The (core, procedure) DFAs a walk runs on: a regular side's own, and
-    for a context-free side the minimal DFA (`from_words`) of its slices at
-    the given lengths, which counting them has already built."""
+    """The (core, procedure) DFAs an enumeration walks: a regular side's
+    own, and for a context-free side the minimal DFA (`from_words`) of its
+    slices at the given lengths, which counting them has already built."""
     return [RegularLang.from_words([w for n in lengths for w in side.enumerate_length(n)],
                                    side.alphabet).automaton
             if side.context_free else side.automaton for side in (phi.core, phi.proc)]
-
-
-def _length_masks(auto, max_len: int) -> list[int]:
-    """Per state, bit k set iff an accepting state is reachable in
-    exactly k <= max_len steps."""
-    masks = [0] * auto.n_states
-    for k, row in enumerate(auto.counts(max_len)[:max_len + 1]):
-        for q in row:
-            masks[q] |= 1 << k
-    return masks
 
 
 def _follow_product(core, proc, max_len: int) -> list[set[str]]:
@@ -174,8 +168,8 @@ def _follow_product(core, proc, max_len: int) -> list[set[str]]:
     reach it: reading a on u makes a + stack, on d stack + a.  A product
     state is dropped when no accepting pair is reachable from it in the
     steps left; the two sides step independently, so that is a common
-    set bit of their length masks."""
-    live_core, live_proc = _length_masks(core, max_len), _length_masks(proc, max_len)
+    set bit of their length masks (`Automaton.length_masks`)."""
+    live_core, live_proc = core.length_masks(max_len), proc.length_masks(max_len)
     layer = {(core.start, proc.start): {""}}
     by_length = []
     for i in range(max_len + 1):
@@ -197,38 +191,40 @@ def _follow_product(core, proc, max_len: int) -> list[set[str]]:
     return by_length
 
 
-def _up_masks(auto, n: int) -> list[list[int]]:
-    """Per k <= n and state, bit j set iff some length-k word with exactly j
-    u steps leads from that state to acceptance."""
-    table = [[int(q in auto.accepting) for q in range(auto.n_states)]]
-    for _ in range(n):
-        table.append([table[-1][t["u"]] << 1 | table[-1][t["d"]] for t in auto.transitions])
-    return table
-
-
 def _walk_windows(core, proc, w: str) -> bool:
     """Whether some r accepted by the core DFA and s by the procedure DFA,
     both of length |w|, fold to w.  After t steps the fold stack of such a
-    pair is the window w[j:j+t], j the u steps still to come, so the walk
-    keeps (core state, procedure state, j) and no stack: a u step reads
-    w[j-1] and moves to j - 1, a d step reads w[j+t].  A state is kept only
-    if its core state reaches acceptance in the steps left (`_length_masks`)
-    and its procedure state does so with exactly j u steps (`_up_masks`):
-    each stands for a pair, so a layer holds at most min(pairs,
-    (|w|+1)|Q||P|) states."""
+    pair is the window w[j:j+t], j the u steps still to come: a u step
+    reads w[j-1] and moves to j - 1, a d step reads w[j+t].  Each (core
+    state, procedure state) keeps its set of starts j as one int, bit j
+    per start, and a step moves every window at once per symbol a, with
+    bit i of pos[a] set iff w[i] == a (the shift-and of Baeza-Yates and
+    Gonnet, CACM 1992): on u the starts become (starts >> 1) & pos[a], on
+    d starts & (pos[a] >> t).  A target is kept only if its core state
+    reaches acceptance in the steps left (its row of `counts`), and its
+    starts are masked by its procedure state's row of `up_masks`: exactly
+    j u steps to acceptance.  O(|w|·|Q|·|P|·|Σ|) big-int operations."""
     n = len(w)
-    live, ups = _length_masks(core, n), _up_masks(proc, n)
-    starts = ups[n][proc.start] if live[core.start] >> n & 1 else 0
-    layer = {(core.start, proc.start, j) for j in range(n + 1) if starts >> j & 1}
+    live, ups = core.counts(n), proc.up_masks(n)
+    pos: dict[str, int] = {}
+    for i, a in enumerate(w):
+        pos[a] = pos.get(a, 0) | 1 << i
+    layer = {(core.start, proc.start): ups[n][proc.start]} if core.start in live[n] else {}
     for t in range(n):
-        bit, left = 1 << (n - t - 1), ups[n - t - 1]
-        following = set()
-        for q, p, j in layer:
+        alive, left = live[n - t - 1], ups[n - t - 1]
+        symbols = [(a, at, at >> t) for a, at in pos.items()]
+        following: defaultdict[tuple[int, int], int] = defaultdict(int)
+        for (q, p), starts in layer.items():
             step, moves = core.transitions[q], proc.transitions[p]
-            # (procedure state, j after, index read); j2 >= 0 and the mask keep it in w
-            for p2, j2, at in ((moves["u"], j - 1, j - 1), (moves["d"], j, j + t)):
-                if j2 >= 0 and left[p2] >> j2 & 1 and live[step[w[at]]] & bit:
-                    following.add((step[w[at]], p2, j2))
+            up, down = moves["u"], moves["d"]
+            after_up, after_down = starts >> 1 & left[up], starts & left[down]
+            for a, at, ahead in symbols:
+                r = step[a]
+                if r in alive:
+                    if after_up & at:
+                        following[r, up] |= after_up & at
+                    if after_down & ahead:
+                        following[r, down] |= after_down & ahead
         layer = following
     return bool(layer)
 
@@ -260,14 +256,16 @@ def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
     (`_has_pairs`); ValueError when pair_cap < 0.  A fold permutes r, so a
     w with a symbol outside the core alphabet is refused before any slice.
     With a regular side the decision walks fold windows (`_walk_windows`),
-    a context-free side entering as the DFA of its slice at |w|.  CF/CF,
-    and with_witness=True (the least pair), fold the pairs (`_folds`)."""
+    a context-free side entering as the DFA of its slice at |w|, built on
+    the first decision at |w| and kept.  CF/CF, and with_witness=True (the
+    least pair), fold the pairs (`_folds`)."""
     if pair_cap < 0:
         raise ValueError("pair_cap must be >= 0")
     witness = None
     if all(ch in phi.core.alphabet for ch in w) and _has_pairs(phi, len(w), pair_cap):
         if not with_witness and not (phi.core.context_free and phi.proc.context_free):
-            return _walk_windows(*_automata(phi, [len(w)]), w)
+            return _walk_windows(*[side.slice_automaton(len(w)) if side.context_free
+                                   else side.automaton for side in (phi.core, phi.proc)], w)
         witness = next(((r, s) for folded, r, s in _folds(phi, len(w)) if folded == w), None)
     return (witness is not None, witness) if with_witness else witness is not None
 

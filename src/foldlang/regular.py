@@ -212,7 +212,8 @@ class Automaton:
 
     States are 0..n-1; transitions is a list of per-state dicts mapping
     every alphabet symbol to a state.  The language is fixed at
-    construction; the length table (`counts`) is grown on demand."""
+    construction; the tables read off it (`counts`, `length_masks`,
+    `up_masks`) are grown on demand, a row for k steps never changing."""
 
     def __init__(self, alphabet: Alphabet, transitions, start: int, accepting):
         self.alphabet = alphabet
@@ -227,6 +228,9 @@ class Automaton:
             for r in t.values():
                 self._preds[r].append(q)
         self._counts: list[dict[int, int]] = [dict.fromkeys(self.accepting, 1)]
+        self._lengths: list[int] = []  # length_masks and up_masks, filled on first use
+        self._length_rows = 0
+        self._ups: list[list[int]] = []
 
     @property
     def n_states(self) -> int:
@@ -269,6 +273,28 @@ class Automaton:
                 for q in preds[r]:
                     row[q] = get(q, 0) + c
             table.append(row)
+        return table
+
+    def length_masks(self, n: int) -> list[int]:
+        """Per state, bit k set iff some length-k word leads to acceptance,
+        for every k <= n; bits above n may be set by an earlier, longer
+        call.  Read off `counts` and grown with it."""
+        table, masks = self.counts(n), self._lengths or [0] * self.n_states
+        for k in range(self._length_rows, len(table)):
+            for q in table[k]:
+                masks[q] |= 1 << k
+        self._lengths, self._length_rows = masks, len(table)
+        return masks
+
+    def up_masks(self, n: int) -> list[list[int]]:
+        """For an automaton over {u, d}, the u-count table grown to cover n:
+        row k maps each state to a bitmask, bit j set iff some length-k
+        word with exactly j u steps leads from it to acceptance."""
+        table = self._ups
+        if not table:
+            table.append([int(q in self.accepting) for q in range(self.n_states)])
+        while len(table) <= n:
+            table.append([table[-1][t["u"]] << 1 | table[-1][t["d"]] for t in self.transitions])
         return table
 
 

@@ -14,7 +14,7 @@ from foldlang import (PROC_ALPHABET, Alphabet, ContextFreeLang, FSystem, Regular
 from foldlang.errors import (AlphabetError, NoEqualLengthPair, ResourceLimit,
                              SpecFileError)
 
-from conftest import AB, regex_asts, small_grammars, system
+from conftest import AB, random_word, regex_asts, small_grammars, system
 
 BB_FRONT = system("aaaab*", "(uu)*ddd")
 
@@ -178,6 +178,139 @@ def test_decision_builds_no_regular_slice(monkeypatch):
     assert fs_member(phi, fold("ab" * 13, "u" * 13 + "d" * 13), pair_cap=10**9) is True
     # 13 a's and 13 b's, and still no fold of (ab)^13
     assert fs_member(phi, "ab" * 11 + "bbaa", pair_cap=10**9) is False
+
+
+def tuple_walk_windows(core, proc, w):
+    """The window walk one (core state, procedure state, j) tuple at a
+    time, with its own tables: the reference for `fsystem._walk_windows`.
+    live[q] has bit k set iff q reaches acceptance in k steps, ups[k][p]
+    bit j iff p does so in k steps with exactly j u steps."""
+    n = len(w)
+    live = [0] * core.n_states
+    for k, row in enumerate(core.counts(n)[:n + 1]):
+        for q in row:
+            live[q] |= 1 << k
+    ups = [[int(p in proc.accepting) for p in range(proc.n_states)]]
+    for _ in range(n):
+        ups.append([ups[-1][t["u"]] << 1 | ups[-1][t["d"]] for t in proc.transitions])
+    starts = ups[n][proc.start] if live[core.start] >> n & 1 else 0
+    layer = {(core.start, proc.start, j) for j in range(n + 1) if starts >> j & 1}
+    for t in range(n):
+        bit, left = 1 << (n - t - 1), ups[n - t - 1]
+        following = set()
+        for q, p, j in layer:
+            step, moves = core.transitions[q], proc.transitions[p]
+            # (procedure state, j after, index read); j2 >= 0 and the mask keep it in w
+            for p2, j2, at in ((moves["u"], j - 1, j - 1), (moves["d"], j, j + t)):
+                if j2 >= 0 and left[p2] >> j2 & 1 and live[step[w[at]]] & bit:
+                    following.add((step[w[at]], p2, j2))
+        layer = following
+    return bool(layer)
+
+
+def walk_automata(phi, n):
+    """The DFAs a decision at length n walks: a regular side's own, a
+    context-free side's slice DFA."""
+    return [side.slice_automaton(n) if side.context_free else side.automaton
+            for side in (phi.core, phi.proc)]
+
+
+def random_member(auto, n, rng):
+    """A member of length n of the automaton's language, one live symbol
+    at a time, or None when there is none."""
+    counts = auto.counts(n)
+    if auto.start not in counts[n]:
+        return None
+    q, word = auto.start, []
+    for k in range(n - 1, -1, -1):
+        a, q = rng.choice([(a, r) for a, r in auto.transitions[q].items() if r in counts[k]])
+        word.append(a)
+    return "".join(word)
+
+
+@pytest.mark.parametrize("core_cf,proc_cf", [(False, False), (False, True), (True, False)],
+                         ids=["REG/REG", "REG/CF", "CF/REG"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bit_parallel_walk_matches_the_tuple_walk(core_cf, proc_cf, data):
+    phi = FSystem(data.draw(languages(AB, core_cf)),
+                  data.draw(languages(PROC_ALPHABET, proc_cf)))
+
+    for n in range(8):
+        for w in map("".join, itertools.product(AB.symbols, repeat=n)):
+            ok = fs_member(phi, w)
+            assert ok == tuple_walk_windows(*walk_automata(phi, n), w), w
+            assert ok == fs_member(phi, w, with_witness=True)[0], w
+    rng = data.draw(st.randoms(use_true_random=False))
+    for n in data.draw(st.lists(st.integers(16, 64), min_size=1, max_size=4)):
+        # a context-free side enters as its slice DFA: only while the slice is small
+        if any(side.context_free and side.count_length(n, 2000) > 2000
+               for side in (phi.core, phi.proc)):
+            continue
+        sides = walk_automata(phi, n)
+        words = [random_word(rng, AB, n) for _ in range(4)]
+        r, s = (random_member(auto, n, rng) for auto in sides)
+        if r is not None and s is not None:
+            member, k = fold(r, s), rng.randrange(n)
+            flipped = member[:k] + ("b" if member[k] == "a" else "a") + member[k + 1:]
+            words += [member, flipped]
+            assert fsystem._walk_windows(*sides, member)
+        for w in words:
+            assert fsystem._walk_windows(*sides, w) == tuple_walk_windows(*sides, w), w
+
+
+#: REG/REG, CF/REG and REG/CF, with a member and a non-member per length.
+KEPT_TABLE_SYSTEMS = [("(ab)*", "(u|d)*"), ("S -> a S b S | eps", "(u|d)*"),
+                      ("(ab)*", "S -> u S d S | eps"), ("a*b*", "(u|d)*d")]
+
+
+@pytest.mark.parametrize("core,proc", KEPT_TABLE_SYSTEMS)
+def test_kept_tables_never_go_stale(core, proc, rng):
+    fresh = system(core, proc)
+    lengths = [n for n in range(11) if fresh.core.has_length(n) and fresh.proc.has_length(n)]
+    words = {}
+    for n in lengths:
+        r, s = (random_member(auto, n, rng) for auto in walk_automata(fresh, n))
+        words[n] = [fold(r, s), random_word(rng, AB, n), "b" * n]
+    expected = {w: fs_member(system(core, proc), w) for ws in words.values() for w in ws}
+    assert any(expected.values()) and not all(expected.values())
+    phi = system(core, proc)
+    interleaved = [n for pair in zip(lengths[::-1], lengths) for n in pair]
+    for order in (lengths[::-1], lengths, interleaved):
+        for n in order:
+            for w in words[n]:
+                assert fs_member(phi, w) is expected[w], w
+    # the decisions left fs_enumerate's output as it was
+    assert fs_enumerate(phi, 11) == fs_enumerate(system(core, proc), 11)
+
+
+def test_slice_dfa_is_built_once_per_side_and_length(monkeypatch):
+    built = []
+    from_words = RegularLang.from_words.__func__
+
+    def counted(cls, words, alphabet):
+        words = tuple(words)
+        built.append((alphabet.symbols, len(words[0])))
+        return from_words(cls, words, alphabet)
+
+    monkeypatch.setattr(RegularLang, "from_words", classmethod(counted))
+    systems = [system("S -> a S b S | eps", "(u|d)*"), system("(a|b)*", "S -> u S d S | eps")]
+    words = [fold("aabbab", "ududuu"), "abab", "ab" * 5, fold("aababb", "uuuddd"), "abba", "b" * 10]
+    for k in range(50):
+        for phi in systems:
+            fs_member(phi, words[k % len(words)])
+    assert sorted(built) == sorted({(side.alphabet.symbols, len(w)) for w in words
+                                    for side in (systems[0].core, systems[1].proc)})
+    # a decision refused by the cap keeps no DFA, and builds none
+    built.clear()
+    phi = system("(a|b)*", "S -> u S d S | eps")
+    with pytest.raises(ResourceLimit):
+        fs_member(phi, "ab" * 6, pair_cap=4096)
+    with pytest.raises(ResourceLimit):
+        fs_member(phi, "ab" * 4, pair_cap=256)
+    assert built == [] and phi.proc._slice_dfas == {}
+    assert fs_member(phi, "ab" * 4, pair_cap=4096) is True
+    assert list(phi.proc._slice_dfas) == [8]
 
 
 #: The six systems of demos/pumping_pipelines.py, one or more per pairing.
