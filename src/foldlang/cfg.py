@@ -437,11 +437,15 @@ class ContextFreeLang:
         budget, building stops at the first join over it and budget + 1 is
         returned.  The count is then surely over budget: a slice under
         (start, n) is only joined to non-empty slices, so it is no larger
-        than slice n.  A refused call drops the memo entries it added."""
+        than slice n.  A refused call drops the memo entries it added.  A
+        slice already kept is counted as it stands, whatever the budget."""
         if budget is not None and budget < 0:
             raise ValueError("budget must be >= 0")
         if n < 0:
             return 0
+        known = self._strings.get((self.normal_form.start, n))
+        if known is not None:
+            return len(known)
         kept = len(self._strings)
         try:
             return len(self._slice(n, budget))

@@ -6,19 +6,24 @@ pair.  Each component is seen through the `Language` protocol, which the
 regular and the context-free engine both implement.
 
 Each side is counted once, regular first, against what the pair cap
-leaves, before any slice is built.  With a regular side, a decision and
-an enumeration walk the product of two DFAs forward: a decision moves
-the fold windows of w, one int of window starts per product state, all
-at once per symbol; an enumeration (a fold grows its output from the
-middle out) the fold stacks, up to the last length with pairs.  A
-context-free side enters as the minimal DFA of the slices the pair check
-has already built to count them, and keeps a decision's.  CF/CF and
-witnesses fold every equal-length pair (`_folds`), exponential but exact.
+leaves, before any slice is built.  With a regular side, membership and
+enumeration walk the product of two DFAs forward.  Membership moves the
+fold windows of w, one int of window starts per product state, all at
+once per symbol, and a witness (the least pair) is read back off the
+same walk.  Enumeration (a fold grows its output from the middle out)
+moves the fold stacks, up to the last length with pairs.  A context-free
+side enters as the minimal DFA of the slices the pair check has already
+built to count them, and keeps a decision's.
+
+The route of a membership query is read off the pair count: a pairing
+with at most |w| pairs folds them (`_folds`), so a thin one stays cheap,
+and a denser one walks, its tables checked against a budget set by the
+pair cap before they grow.  CF/CF, and enumeration with witnesses, fold
+every equal-length pair, exponential but exact.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import ClassVar, Protocol
@@ -31,6 +36,11 @@ from .regular import RegDecomposition, RegularLang
 #: Per-length candidate-pair cap, checked from the slice counts.
 DEFAULT_PAIR_CAP = 500_000
 
+#: Bits a walk may add to one table per candidate pair of the pair cap:
+#: about what one pair costs the fold route at the cap, a short string
+#: object (32 MB at the default cap).
+TABLE_BITS_PER_PAIR = 512
+
 #: Search ceiling above min_len when looking for an equal-length pair.
 DEFAULT_LENGTH_CEILING = 512
 
@@ -40,7 +50,7 @@ class Language(Protocol):
     language.  RegularLang and ContextFreeLang implement it, and callers
     tell them apart only through `context_free`.  The product walks of
     fs_member and fs_enumerate also read a regular engine's `automaton`,
-    and a decision a context-free engine's `slice_automaton(n)`: the
+    and a window walk a context-free engine's `slice_automaton(n)`: the
     minimal DFA of its slice at n, built once and kept."""
 
     #: True for a context-free engine, False for a regular one; it picks
@@ -94,22 +104,25 @@ class FSystem:
             raise AlphabetError("procedure language must use alphabet {u, d}")
 
 
-def _has_pairs(phi: FSystem, n: int, pair_cap: int) -> bool:
-    """Whether both slices at length n are non-empty, read from the length
-    tables.  Only then is each side counted, regular first (a table lookup),
-    against pair_cap // the counts before it.  A side over that budget makes
-    a product over the cap: ResourceLimit, and a later side is not counted."""
+def _has_pairs(phi: FSystem, n: int, pair_cap: int) -> int:
+    """The number of candidate pairs at length n: 0 when a slice is empty,
+    read from the length tables.  Only then is each side counted, regular
+    first (a table lookup), against pair_cap // the counts before it.  A
+    side over that budget makes a product over the cap: ResourceLimit, and
+    a later side is not counted."""
+    if not (phi.core.has_length(n) and phi.proc.has_length(n)):
+        return 0
     sides = (("core", phi.core), ("procedure", phi.proc))
-    if not all(side.has_length(n) for _, side in sides):
-        return False
-    budget, before = pair_cap, ""
-    for name, side in sorted(sides, key=lambda named: named[1].context_free):
+    budget, before, pairs = pair_cap, "", 1
+    if phi.core.context_free and not phi.proc.context_free:
+        sides = sides[::-1]
+    for name, side in sides:
         count = side.count_length(n, budget)
         if count > budget:
             raise ResourceLimit(f"{name} slice at length {n} has more than {budget} "
                                 f"strings{before}: over the cap of {pair_cap} candidate pairs")
-        budget, before = budget // count, f", against {count} {name} strings"
-    return True
+        budget, before, pairs = budget // count, f", against {count} {name} strings", pairs * count
+    return pairs
 
 
 def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
@@ -191,42 +204,142 @@ def _follow_product(core, proc, max_len: int) -> list[set[str]]:
     return by_length
 
 
-def _walk_windows(core, proc, w: str) -> bool:
-    """Whether some r accepted by the core DFA and s by the procedure DFA,
-    both of length |w|, fold to w.  After t steps the fold stack of such a
-    pair is the window w[j:j+t], j the u steps still to come: a u step
-    reads w[j-1] and moves to j - 1, a d step reads w[j+t].  Each (core
-    state, procedure state) keeps its set of starts j as one int, bit j
-    per start, and a step moves every window at once per symbol a, with
-    bit i of pos[a] set iff w[i] == a (the shift-and of Baeza-Yates and
-    Gonnet, CACM 1992): on u the starts become (starts >> 1) & pos[a], on
-    d starts & (pos[a] >> t).  A target is kept only if its core state
-    reaches acceptance in the steps left (its row of `counts`), and its
-    starts are masked by its procedure state's row of `up_masks`: exactly
-    j u steps to acceptance.  O(|w|·|Q|·|P|·|Σ|) big-int operations."""
+def _window_layers(core, proc, w: str):
+    """The layers of the window walk over the core DFA and the procedure
+    DFA, t = 0, 1, ... steps in: each maps a (core state, procedure state)
+    to its set of window starts, one int.  After t steps the fold stack of
+    a pair (r, s), both of length |w|, that folds to w is the window
+    w[j:j+t], j the u steps still to come: a u step reads w[j-1] and moves
+    to j - 1, a d step reads w[j+t].  A step moves every window at once per
+    symbol a, with bit i of pos[a] set iff w[i] == a (the shift-and of
+    Baeza-Yates and Gonnet, CACM 1992): on u the starts become
+    (starts >> 1) & pos[a], on d starts & (pos[a] >> t).  A target is kept
+    only if its core state reaches acceptance in the steps left (its row
+    of `counts`), and its starts are masked by its procedure state's row
+    of `up_masks`: exactly j u steps to acceptance.  A state with neither
+    move left is skipped, and the walk ends at the first empty layer, so
+    layer |w| exists, holding only accepting pairs at j = 0, iff w folds.
+    O(|w|·|Q|·|P|·|Σ|) big-int operations."""
     n = len(w)
     live, ups = core.counts(n), proc.up_masks(n)
-    pos: dict[str, int] = {}
-    for i, a in enumerate(w):
-        pos[a] = pos.get(a, 0) | 1 << i
-    layer = {(core.start, proc.start): ups[n][proc.start]} if core.start in live[n] else {}
+    if core.start not in live[n] or not ups[n][proc.start]:
+        return
+    layer = {(core.start, proc.start): ups[n][proc.start]}
+    yield layer
+    pos = list(core.alphabet.positions(w).items())
     for t in range(n):
         alive, left = live[n - t - 1], ups[n - t - 1]
-        symbols = [(a, at, at >> t) for a, at in pos.items()]
-        following: defaultdict[tuple[int, int], int] = defaultdict(int)
+        following: dict[tuple[int, int], int] = {}
         for (q, p), starts in layer.items():
-            step, moves = core.transitions[q], proc.transitions[p]
+            moves = proc.transitions[p]
             up, down = moves["u"], moves["d"]
             after_up, after_down = starts >> 1 & left[up], starts & left[down]
-            for a, at, ahead in symbols:
+            if not (after_up or after_down):
+                continue
+            step = core.transitions[q]
+            for a, at in pos:
                 r = step[a]
                 if r in alive:
-                    if after_up & at:
-                        following[r, up] |= after_up & at
-                    if after_down & ahead:
-                        following[r, down] |= after_down & ahead
+                    if moved := after_up & at:
+                        key = r, up
+                        following[key] = following.get(key, 0) | moved
+                    if moved := after_down & at >> t:
+                        key = r, down
+                        following[key] = following.get(key, 0) | moved
+        if not following:
+            return
         layer = following
-    return bool(layer)
+        yield layer
+
+
+def _walk_windows(core, proc, w: str) -> bool:
+    """Whether some r accepted by the core DFA and s by the procedure DFA,
+    both of length |w|, fold to w: whether the window walk
+    (`_window_layers`) reaches layer |w|."""
+    steps = -1
+    for steps, _ in enumerate(_window_layers(core, proc, w)):
+        pass
+    return steps == len(w)
+
+
+def _step(core, proc, layer, t: int, pos, symbols, directions, within):
+    """The layer after step t from layer, reading one of symbols on one of
+    directions, each target's starts masked by its entry in within."""
+    following: dict[tuple[int, int], int] = {}
+    for (q, p), starts in layer.items():
+        step, moves = core.transitions[q], proc.transitions[p]
+        for a in symbols:
+            at = pos[a]
+            for d in directions:
+                target = step[a], moves[d]
+                moved = (starts >> 1 & at if d == "u" else starts & at >> t) & within.get(target, 0)
+                if moved:
+                    following[target] = following.get(target, 0) | moved
+    return following
+
+
+def _reaching(core, proc, layer, t: int, pos, symbols, after):
+    """The starts of layer from which step t, reading one of symbols on
+    either direction, lands on a start of the layer after."""
+    kept = {}
+    for (q, p), starts in layer.items():
+        step, moves = core.transitions[q], proc.transitions[p]
+        reach = 0
+        for a in symbols:
+            at = pos[a]
+            reach |= (after.get((step[a], moves["u"]), 0) & at) << 1
+            reach |= after.get((step[a], moves["d"]), 0) & at >> t
+        if starts & reach:
+            kept[q, p] = starts & reach
+    return kept
+
+
+def _least_pair(core, proc, w: str) -> tuple[str, str] | None:
+    """The least (r, s) that folds to w, r accepted by the core DFA and s
+    by the procedure DFA, or None: the least r in core order, then the
+    least s, u before d.  The window walk's layers (`_window_layers`) are
+    kept, and a backward pass keeps only the starts that still reach
+    acceptance.  r is then picked one symbol at a time, the least whose
+    step leaves a start; the layers shrink to the starts r's prefix
+    reaches, a second backward pass keeps those that r's rest takes to
+    acceptance, and s is picked the same way.  O(|w|·|Q|·|P|·|Σ|) big-int
+    operations and |w| + 1 layers."""
+    n = len(w)
+    layers = list(_window_layers(core, proc, w))
+    if len(layers) <= n:
+        return None
+    pos = core.alphabet.positions(w)
+    order = list(pos)
+    for t in range(n - 1, -1, -1):
+        layers[t] = _reaching(core, proc, layers[t], t, pos, order, layers[t + 1])
+    r, s = [], []
+    for t in range(n):
+        a, layers[t + 1] = next((a, moved) for a in order if (
+            moved := _step(core, proc, layers[t], t, pos, a, "ud", layers[t + 1])))
+        r.append(a)
+    for t in range(n - 1, -1, -1):
+        layers[t] = _reaching(core, proc, layers[t], t, pos, r[t], layers[t + 1])
+    for t in range(n):
+        d, layers[t + 1] = next((d, moved) for d in "ud" if (
+            moved := _step(core, proc, layers[t], t, pos, r[t], d, layers[t + 1])))
+        s.append(d)
+    return "".join(r), "".join(s)
+
+
+def _check_tables(core, proc, n: int, pair_cap: int, witness: bool) -> None:
+    """ResourceLimit before a walk at n would add more than TABLE_BITS_PER_PAIR
+    bits per candidate pair of the cap to one table: the procedure's kept
+    u-count rows (`up_masks`), or a witness's window layers, up to
+    |Q|·|P| ints of n + 1 bits per layer."""
+    budget = pair_cap * TABLE_BITS_PER_PAIR
+    tables = [("u-count table", proc.up_bits(n))]
+    if witness:
+        tables.append(("witness layers", (n + 1) ** 2 * core.n_states * proc.n_states))
+    for name, bits in tables:
+        if bits > budget:
+            raise ResourceLimit(f"{name} at length {n} would hold up to {bits} bits: over the "
+                                f"budget of {TABLE_BITS_PER_PAIR} bits per candidate pair of "
+                                f"the cap of {pair_cap}")
 
 
 def _folds(phi: FSystem, n: int):
@@ -255,18 +368,30 @@ def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
     """Decide w in L(Phi) once the slices at |w| pass the pair check
     (`_has_pairs`); ValueError when pair_cap < 0.  A fold permutes r, so a
     w with a symbol outside the core alphabet is refused before any slice.
-    With a regular side the decision walks fold windows (`_walk_windows`),
-    a context-free side entering as the DFA of its slice at |w|, built on
-    the first decision at |w| and kept.  CF/CF, and with_witness=True (the
-    least pair), fold the pairs (`_folds`)."""
+
+    With with_witness=True, returns (ok, (r, s) or None), the least pair
+    that folds to w: the least r in core order, then the least s.
+
+    The route is read off the pair count.  At most |w| pairs, or CF/CF,
+    are folded one by one (`_folds`), stopping at the witness.  Otherwise
+    the pairing walks fold windows over two DFAs (`_walk_windows`, and
+    `_least_pair` for a witness), a context-free side entering as the DFA
+    of its slice at |w|, built on the first walk at |w| and kept.  A walk
+    whose tables would outgrow the budget the cap sets (`_check_tables`)
+    is refused with ResourceLimit before they are built."""
     if pair_cap < 0:
         raise ValueError("pair_cap must be >= 0")
-    witness = None
-    if all(ch in phi.core.alphabet for ch in w) and _has_pairs(phi, len(w), pair_cap):
-        if not with_witness and not (phi.core.context_free and phi.proc.context_free):
-            return _walk_windows(*[side.slice_automaton(len(w)) if side.context_free
-                                   else side.automaton for side in (phi.core, phi.proc)], w)
-        witness = next(((r, s) for folded, r, s in _folds(phi, len(w)) if folded == w), None)
+    n, witness = len(w), None
+    pairs = phi.core.alphabet.covers(w) and _has_pairs(phi, n, pair_cap)
+    if pairs > n and not (phi.core.context_free and phi.proc.context_free):
+        core, proc = [side.slice_automaton(n) if side.context_free else side.automaton
+                      for side in (phi.core, phi.proc)]
+        _check_tables(core, proc, n, pair_cap, with_witness)
+        if not with_witness:
+            return _walk_windows(core, proc, w)
+        witness = _least_pair(core, proc, w)
+    elif pairs:
+        witness = next(((r, s) for folded, r, s in _folds(phi, n) if folded == w), None)
     return (witness is not None, witness) if with_witness else witness is not None
 
 

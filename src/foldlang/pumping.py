@@ -419,7 +419,8 @@ def verify_plan(plan: StrandPlan, phi: FSystem, j_range=None) -> VerificationRep
 
 
 def verify_family(family: PumpFamily, phi: FSystem, i_range=None) -> VerificationReport:
-    """Decide membership of the pumped string for each i via the oracle."""
+    """Decide membership of the pumped string for each i, with its least
+    witness (`fs_member`)."""
     if i_range is None:
         i_range = range(0, 5)
     checks = []

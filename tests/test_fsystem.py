@@ -38,10 +38,10 @@ def test_enumeration_with_witnesses():
         assert BB_FRONT.core.member(r) and BB_FRONT.proc.member(s)
 
 
-def pairwise_witnesses(phi, max_len):
+def pairwise_witnesses(phi, max_len, min_len=0):
     """The first (r, s) folding to each member, one fold per pair."""
     witnesses = {}
-    for n in range(max_len + 1):
+    for n in range(min_len, max_len + 1):
         for r in phi.core.enumerate_length(n):
             for s in phi.proc.enumerate_length(n):
                 witnesses.setdefault(fold(r, s), (r, s))
@@ -99,6 +99,15 @@ def fold_oracle(phi, n):
     return least
 
 
+def fold_route_witness(phi, w):
+    """The witness the fold route finds: the first pair `_folds` yields
+    that folds to w, or None."""
+    n = len(w)
+    if not (phi.core.has_length(n) and phi.proc.has_length(n)):
+        return None
+    return next(((r, s) for folded, r, s in fsystem._folds(phi, n) if folded == w), None)
+
+
 @pytest.mark.parametrize("core_cf,proc_cf", itertools.product((False, True), repeat=2),
                          ids=["REG/REG", "REG/CF", "CF/REG", "CF/CF"])
 @settings(max_examples=40, deadline=None)
@@ -110,14 +119,32 @@ def test_generated_systems_match_fold_oracle(core_cf, proc_cf, data):
     assert fs_enumerate(phi, 5) == [w for n in range(6) for w in sorted(least[n], key=AB.sort_key)]
     assert list(fs_enumerate(phi, 5, with_witnesses=True).items()) == list(
         pairwise_witnesses(phi, 5).items())
+    walks = not (core_cf and proc_cf)
     for n in range(6):
         for w in map("".join, itertools.product(AB.symbols, repeat=n)):
             ok, witness = fs_member(phi, w, with_witness=True)
             assert ok == (w in least[n]), w
-            # the decision alone walks fold windows when one side is regular
+            # the decision takes the same route as the witness
             assert fs_member(phi, w) is ok, w
-            # the witness is the least pair that folds to w
-            assert witness == least[n].get(w), w
+            # the witness is the least pair that folds to w, on either route
+            assert witness == least[n].get(w) == fold_route_witness(phi, w), w
+            if walks and phi.core.has_length(n) and phi.proc.has_length(n):
+                assert fsystem._least_pair(*walk_automata(phi, n), w) == witness, w
+    if not walks:
+        return
+    # longer words: folds of drawn pairs and random words, on both routes
+    rng = data.draw(st.randoms(use_true_random=False))
+    for n in data.draw(st.lists(st.integers(6, 9), min_size=1, max_size=2)):
+        if not (phi.core.has_length(n) and phi.proc.has_length(n)) or (
+                phi.core.count_length(n, 1000) * phi.proc.count_length(n, 1000) > 20_000):
+            continue
+        least = pairwise_witnesses(phi, n, n)
+        sides = walk_automata(phi, n)
+        r, s = (random_member(auto, n, rng) for auto in sides)
+        for w in [fold(r, s), random_word(rng, AB, n), random_word(rng, AB, n)]:
+            witness = least.get(w)
+            assert fs_member(phi, w, with_witness=True) == (witness is not None, witness), w
+            assert fsystem._least_pair(*sides, w) == witness == fold_route_witness(phi, w), w
 
 
 def test_membership():
@@ -141,31 +168,44 @@ def test_member_stops_at_its_witness(monkeypatch):
 
     monkeypatch.setattr(fsystem, "fold", counted_fold)
     monkeypatch.setattr(fsystem, "fold_permutation", no_permutation)
-    phi = system("(ab)*", "(u|d)*")  # one core string per even length
+    # thin: one core string and 6 direction strings at n = 6, so the pairs
+    # are folded, the decision's as the witness's
+    phi = system("(ab)*", "u*d*d")
+    assert phi.proc.count_length(6) == 6
     kept = {}  # the first direction string of each tail, in slice order
     for s in phi.proc.enumerate_length(6):
         kept.setdefault(s[1:], s)
     for k, s in enumerate(kept.values(), 1):
-        folded.clear()
-        assert fs_member(phi, fold("ababab", s), with_witness=True)[0]
-        assert len(folded) <= k
-    folded.clear()
-    assert fs_member(phi, "aaaaaa", with_witness=True) == (False, None)
-    assert folded == list(kept.values())
+        for answer in (lambda w: fs_member(phi, w, with_witness=True)[0],
+                       lambda w: fs_member(phi, w)):
+            folded.clear()
+            assert answer(fold("ababab", s)) is True
+            assert len(folded) <= k
+            # a non-member folds every kept direction string, and no more
+            folded.clear()
+            assert answer("abbbaa") is False
+            assert folded == list(kept.values())
 
     def no_fold(r, s):
         raise AssertionError(f"fold({r!r}, {s!r}) called")
 
-    # with a regular side, a decision walks fold windows and folds no pair
+    # dense: 64 pairs at n = 6, so the windows are walked and no pair folded
     monkeypatch.setattr(fsystem, "fold", no_fold)
-    for s in kept.values():
-        assert fs_member(phi, fold("ababab", s)) is True
-    assert fs_member(phi, "aaaaaa") is False
-    # a CF/CF decision still folds the pairs
+    phi = system("(ab)*", "(u|d)*")
+    directions = phi.proc.enumerate_length(6)
+    for s in directions:
+        w = fold("ababab", s)
+        assert fs_member(phi, w) is True
+        least = next(v for v in directions if fold("ababab", v) == w)
+        assert fs_member(phi, w, with_witness=True) == (True, ("ababab", least))
+    assert fs_member(phi, "abbbaa") is False
+    assert fs_member(phi, "abbbaa", with_witness=True) == (False, None)
+    # a CF/CF decision and witness still fold the pairs, however many
     monkeypatch.setattr(fsystem, "fold", counted_fold)
     folded.clear()
-    phi = system("S -> a S b | eps", "S -> u S d | eps")
-    assert fs_member(phi, fold("aabb", "uudd")) is True
+    phi = system("S -> a S b | eps", "S -> u S d S | eps")
+    assert fs_member(phi, fold("aaabbb", "ududud")) is True
+    assert fs_member(phi, fold("aaabbb", "uduudd"), with_witness=True)[0] is True
     assert folded
 
 
@@ -178,6 +218,13 @@ def test_decision_builds_no_regular_slice(monkeypatch):
     assert fs_member(phi, fold("ab" * 13, "u" * 13 + "d" * 13), pair_cap=10**9) is True
     # 13 a's and 13 b's, and still no fold of (ab)^13
     assert fs_member(phi, "ab" * 11 + "bbaa", pair_cap=10**9) is False
+    # a witness walks the same windows: 2^40 direction strings at n = 40, and
+    # the least s that folds (ab)^20 onto w, found by a depth-first search
+    for s, least in [("ud" * 20, "ud" * 20), ("uud" * 13 + "d", "uud" * 13 + "d"),
+                     ("dduduudduuudddudud" + "ud" * 11, "ududuuuuddudddudud" + "ud" * 11)]:
+        assert fs_member(phi, fold("ab" * 20, s), pair_cap=2**41, with_witness=True) == (
+            True, ("ab" * 20, least))
+    assert fs_member(phi, "ab" * 18 + "bbaa", pair_cap=2**41, with_witness=True) == (False, None)
 
 
 def tuple_walk_windows(core, proc, w):
@@ -313,6 +360,30 @@ def test_slice_dfa_is_built_once_per_side_and_length(monkeypatch):
     assert list(phi.proc._slice_dfas) == [8]
 
 
+def test_walk_tables_are_bounded_before_they_grow():
+    # a*b* has n + 1 strings at each n and (ud)* one at even n: n + 1 pairs,
+    # so the pairing walks; each DFA has three states
+    phi = system("a*b*", "(ud)*")
+    w = fold("a" * 200 + "b" * 200, "ud" * 200)
+    ups = phi.proc.automaton
+    assert ups.up_bits(400) == 3 * 401 * 402 // 2 == 241803
+    # 401 pairs buy 401 * 512 = 205,312 bits, and the u-count rows would take more
+    with pytest.raises(ResourceLimit, match="^u-count table at length 400 would hold up to 241803 "
+                                            "bits: over the budget of 512 bits per candidate "
+                                            "pair of the cap of 401$"):
+        fs_member(phi, w, pair_cap=401)
+    assert ups.up_bits(400) == 241803  # refused before a row was added
+    # 1,000 pairs buy 512,000 bits: enough for the rows, not for a witness's
+    # 401 layers of up to 9 ints of 401 bits
+    assert fs_member(phi, w, pair_cap=1000) is True
+    assert ups.up_bits(400) == 0
+    with pytest.raises(ResourceLimit, match="^witness layers at length 400 would hold up to "
+                                            "1447209 bits: "):
+        fs_member(phi, w, pair_cap=1000, with_witness=True)
+    ok, (r, s) = fs_member(phi, w, pair_cap=3000, with_witness=True)
+    assert ok and fold(r, s) == w and phi.core.member(r) and phi.proc.member(s)
+
+
 #: The six systems of demos/pumping_pipelines.py, one or more per pairing.
 DEMO_SYSTEMS = [
     ("aaaab*", "(uu)*ddd"),
@@ -330,8 +401,15 @@ def test_long_family_strings_are_members_on_both_paths(core, proc):
     family = plan_to_family(auto_plan(phi))
     for i in range(7):  # pump --imax 6: up to 264 symbols
         w = family.assemble(i)
+        # thin: at most |w| pairs, so these pairings fold them
+        assert fsystem._has_pairs(phi, len(w), fsystem.DEFAULT_PAIR_CAP) <= len(w), i
         assert fs_member(phi, w) is True, i
-        assert fs_member(phi, w, with_witness=True)[0] is True, i
+        ok, (r, s) = fs_member(phi, w, with_witness=True)
+        assert ok and fold(r, s) == w, i
+        if not (phi.core.context_free and phi.proc.context_free):
+            sides = walk_automata(phi, len(w))
+            assert fsystem._walk_windows(*sides, w), i
+            assert fsystem._least_pair(*sides, w) == (r, s), i
 
 
 def test_membership_with_cf_components():
