@@ -15,11 +15,12 @@ moves the fold stacks, up to the last length with pairs.  A context-free
 side enters as the minimal DFA of the slices the pair check has already
 built to count them, and keeps a decision's.
 
-The route of a membership query is read off the pair count: a pairing
-with at most |w| pairs folds them (`_folds`), so a thin one stays cheap,
-and a denser one walks, its tables checked against a budget set by the
-pair cap before they grow.  CF/CF, and enumeration with witnesses, fold
-every equal-length pair, exponential but exact.
+A decision with a regular side always walks.  A witness search reads
+its route off the pair count: up to FOLD_WITNESS_PAIRS pairs are folded
+(`_folds`), the measured crossover, and more are walked.  A walk's
+tables are checked against a budget set by the pair cap before they
+grow.  CF/CF, and enumeration with witnesses, fold every equal-length
+pair, exponential but exact.
 """
 
 from __future__ import annotations
@@ -36,10 +37,17 @@ from .regular import RegDecomposition, RegularLang
 #: Per-length candidate-pair cap, checked from the slice counts.
 DEFAULT_PAIR_CAP = 500_000
 
-#: Bits a walk may add to one table per candidate pair of the pair cap:
-#: about what one pair costs the fold route at the cap, a short string
-#: object (32 MB at the default cap).
+#: Bits a walk's table may hold per candidate pair of the pair cap: about
+#: what one pair costs the fold route at the cap, a short string object
+#: (32 MB at the default cap).
 TABLE_BITS_PER_PAIR = 512
+
+#: A witness search with at most this many pairs folds them; with more it
+#: walks fold windows.  The measured crossover of the two routes' worst
+#: cases on cold tables, as the CLI and family verification meet them: a
+#: non-member folding every pair against a member walking every layer
+#: (BENCH_20.json, route_crossover).
+FOLD_WITNESS_PAIRS = 64
 
 #: Search ceiling above min_len when looking for an equal-length pair.
 DEFAULT_LENGTH_CEILING = 512
@@ -264,7 +272,11 @@ def _walk_windows(core, proc, w: str) -> bool:
 
 def _step(core, proc, layer, t: int, pos, symbols, directions, within):
     """The layer after step t from layer, reading one of symbols on one of
-    directions, each target's starts masked by its entry in within."""
+    directions, each target's starts masked by its entry in within.  The
+    same window step is inlined in `_window_layers` and inverted in
+    `_reaching`: a start j moves to j - 1 on a u step reading w[j-1] and
+    stays on a d step reading w[j+t].  A change to one shift belongs in
+    all three; the oracle tests fail on a wrong shift in any of them."""
     following: dict[tuple[int, int], int] = {}
     for (q, p), starts in layer.items():
         step, moves = core.transitions[q], proc.transitions[p]
@@ -327,12 +339,14 @@ def _least_pair(core, proc, w: str) -> tuple[str, str] | None:
 
 
 def _check_tables(core, proc, n: int, pair_cap: int, witness: bool) -> None:
-    """ResourceLimit before a walk at n would add more than TABLE_BITS_PER_PAIR
-    bits per candidate pair of the cap to one table: the procedure's kept
-    u-count rows (`up_masks`), or a witness's window layers, up to
-    |Q|·|P| ints of n + 1 bits per layer."""
+    """ResourceLimit before a walk at n would need a table of more than
+    TABLE_BITS_PER_PAIR bits per candidate pair of the cap: the procedure's
+    u-count table up to row n (`up_masks`, row k up to k + 1 bits per
+    state), kept after the walk, or a witness's window layers, up to
+    |Q|·|P| ints of n + 1 bits per layer.  The whole table is checked, not
+    what the call adds, so the answer does not depend on earlier calls."""
     budget = pair_cap * TABLE_BITS_PER_PAIR
-    tables = [("u-count table", proc.up_bits(n))]
+    tables = [("u-count table", proc.n_states * (n + 1) * (n + 2) // 2)]
     if witness:
         tables.append(("witness layers", (n + 1) ** 2 * core.n_states * proc.n_states))
     for name, bits in tables:
@@ -372,9 +386,9 @@ def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
     With with_witness=True, returns (ok, (r, s) or None), the least pair
     that folds to w: the least r in core order, then the least s.
 
-    The route is read off the pair count.  At most |w| pairs, or CF/CF,
-    are folded one by one (`_folds`), stopping at the witness.  Otherwise
-    the pairing walks fold windows over two DFAs (`_walk_windows`, and
+    CF/CF, and a witness search with at most FOLD_WITNESS_PAIRS pairs,
+    fold the pairs one by one (`_folds`), stopping at the witness.  Any
+    other query walks fold windows over two DFAs (`_walk_windows`, and
     `_least_pair` for a witness), a context-free side entering as the DFA
     of its slice at |w|, built on the first walk at |w| and kept.  A walk
     whose tables would outgrow the budget the cap sets (`_check_tables`)
@@ -383,7 +397,8 @@ def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
         raise ValueError("pair_cap must be >= 0")
     n, witness = len(w), None
     pairs = phi.core.alphabet.covers(w) and _has_pairs(phi, n, pair_cap)
-    if pairs > n and not (phi.core.context_free and phi.proc.context_free):
+    folds = with_witness and pairs <= FOLD_WITNESS_PAIRS
+    if pairs and not folds and not (phi.core.context_free and phi.proc.context_free):
         core, proc = [side.slice_automaton(n) if side.context_free else side.automaton
                       for side in (phi.core, phi.proc)]
         _check_tables(core, proc, n, pair_cap, with_witness)

@@ -297,12 +297,6 @@ class Automaton:
             table.append([table[-1][t["u"]] << 1 | table[-1][t["d"]] for t in self.transitions])
         return table
 
-    def up_bits(self, n: int) -> int:
-        """At most how many bits `up_masks(n)` adds to the u-count table: row
-        k holds up to k + 1 bits per state; 0 once the table covers n."""
-        rows = len(self._ups)
-        return max(0, self.n_states * ((n + 1) * (n + 2) - rows * (rows + 1)) // 2)
-
 
 def compile_ast(ast: RegexAst, alphabet: Alphabet) -> Automaton:
     """Compile an AST to a minimal complete DFA.  The subset construction

@@ -124,7 +124,7 @@ def test_generated_systems_match_fold_oracle(core_cf, proc_cf, data):
         for w in map("".join, itertools.product(AB.symbols, repeat=n)):
             ok, witness = fs_member(phi, w, with_witness=True)
             assert ok == (w in least[n]), w
-            # the decision takes the same route as the witness
+            # the decision agrees with the witness, whichever route each takes
             assert fs_member(phi, w) is ok, w
             # the witness is the least pair that folds to w, on either route
             assert witness == least[n].get(w) == fold_route_witness(phi, w), w
@@ -168,38 +168,49 @@ def test_member_stops_at_its_witness(monkeypatch):
 
     monkeypatch.setattr(fsystem, "fold", counted_fold)
     monkeypatch.setattr(fsystem, "fold_permutation", no_permutation)
-    # thin: one core string and 6 direction strings at n = 6, so the pairs
-    # are folded, the decision's as the witness's
+    # thin: one core string and 6 direction strings at n = 6, so a witness
+    # search folds the pairs and stops at its witness
     phi = system("(ab)*", "u*d*d")
     assert phi.proc.count_length(6) == 6
     kept = {}  # the first direction string of each tail, in slice order
     for s in phi.proc.enumerate_length(6):
         kept.setdefault(s[1:], s)
     for k, s in enumerate(kept.values(), 1):
-        for answer in (lambda w: fs_member(phi, w, with_witness=True)[0],
-                       lambda w: fs_member(phi, w)):
-            folded.clear()
-            assert answer(fold("ababab", s)) is True
-            assert len(folded) <= k
-            # a non-member folds every kept direction string, and no more
-            folded.clear()
-            assert answer("abbbaa") is False
-            assert folded == list(kept.values())
+        folded.clear()
+        assert fs_member(phi, fold("ababab", s), with_witness=True)[0] is True
+        assert len(folded) <= k
+        # a non-member folds every kept direction string, and no more
+        folded.clear()
+        assert fs_member(phi, "abbbaa", with_witness=True) == (False, None)
+        assert folded == list(kept.values())
 
     def no_fold(r, s):
         raise AssertionError(f"fold({r!r}, {s!r}) called")
 
-    # dense: 64 pairs at n = 6, so the windows are walked and no pair folded
+    # a decision with a regular side walks, however few its pairs
     monkeypatch.setattr(fsystem, "fold", no_fold)
-    phi = system("(ab)*", "(u|d)*")
-    directions = phi.proc.enumerate_length(6)
-    for s in directions:
-        w = fold("ababab", s)
-        assert fs_member(phi, w) is True
-        least = next(v for v in directions if fold("ababab", v) == w)
-        assert fs_member(phi, w, with_witness=True) == (True, ("ababab", least))
+    assert fs_member(phi, fold("ababab", "uuuddd")) is True
     assert fs_member(phi, "abbbaa") is False
-    assert fs_member(phi, "abbbaa", with_witness=True) == (False, None)
+    # the cut-off: (ab)* / (u|d)* has 2^n pairs at even n, and a witness
+    # search folds up to FOLD_WITNESS_PAIRS of them
+    assert fsystem.FOLD_WITNESS_PAIRS == 64
+    phi = system("(ab)*", "(u|d)*")
+    for n, folds in [(4, True), (6, True), (8, False)]:
+        for w in (fold("ab" * (n // 2), "d" * n), "b" * n):
+            monkeypatch.setattr(fsystem, "fold", counted_fold if folds else no_fold)
+            folded.clear()
+            fs_member(phi, w, with_witness=True)
+            assert bool(folded) == folds, (n, w)
+    # dense: 256 pairs at n = 8, so the windows are walked and no pair folded
+    monkeypatch.setattr(fsystem, "fold", no_fold)
+    directions = phi.proc.enumerate_length(8)
+    for s in directions:
+        w = fold("abababab", s)
+        assert fs_member(phi, w) is True
+        least = next(v for v in directions if fold("abababab", v) == w)
+        assert fs_member(phi, w, with_witness=True) == (True, ("abababab", least))
+    assert fs_member(phi, "abbbaaba") is False
+    assert fs_member(phi, "abbbaaba", with_witness=True) == (False, None)
     # a CF/CF decision and witness still fold the pairs, however many
     monkeypatch.setattr(fsystem, "fold", counted_fold)
     folded.clear()
@@ -363,20 +374,24 @@ def test_slice_dfa_is_built_once_per_side_and_length(monkeypatch):
 def test_walk_tables_are_bounded_before_they_grow():
     # a*b* has n + 1 strings at each n and (ud)* one at even n: n + 1 pairs,
     # so the pairing walks; each DFA has three states
-    phi = system("a*b*", "(ud)*")
     w = fold("a" * 200 + "b" * 200, "ud" * 200)
-    ups = phi.proc.automaton
-    assert ups.up_bits(400) == 3 * 401 * 402 // 2 == 241803
-    # 401 pairs buy 401 * 512 = 205,312 bits, and the u-count rows would take more
-    with pytest.raises(ResourceLimit, match="^u-count table at length 400 would hold up to 241803 "
-                                            "bits: over the budget of 512 bits per candidate "
-                                            "pair of the cap of 401$"):
-        fs_member(phi, w, pair_cap=401)
-    assert ups.up_bits(400) == 241803  # refused before a row was added
+    shorter = fold("a" * 150 + "b" * 150, "ud" * 150)
+    # 401 pairs buy 401 * 512 = 205,312 bits, and the u-count table to row 400
+    # would take 3 * 401 * 402 / 2 = 241,803; to row 300 it takes 136,353
+    refusal = ("^u-count table at length 400 would hold up to 241803 bits: over the budget "
+               "of 512 bits per candidate pair of the cap of 401$")
+    for first in ((), (shorter,)):
+        phi = system("a*b*", "(ud)*")
+        for v in first:
+            assert fs_member(phi, v, pair_cap=401) is True
+        rows = len(phi.proc.automaton.up_masks(0))
+        # the whole table is checked, so a shorter word decided first changes nothing
+        with pytest.raises(ResourceLimit, match=refusal):
+            fs_member(phi, w, pair_cap=401)
+        assert len(phi.proc.automaton.up_masks(0)) == rows  # refused before a row was added
     # 1,000 pairs buy 512,000 bits: enough for the rows, not for a witness's
     # 401 layers of up to 9 ints of 401 bits
     assert fs_member(phi, w, pair_cap=1000) is True
-    assert ups.up_bits(400) == 0
     with pytest.raises(ResourceLimit, match="^witness layers at length 400 would hold up to "
                                             "1447209 bits: "):
         fs_member(phi, w, pair_cap=1000, with_witness=True)
@@ -401,15 +416,14 @@ def test_long_family_strings_are_members_on_both_paths(core, proc):
     family = plan_to_family(auto_plan(phi))
     for i in range(7):  # pump --imax 6: up to 264 symbols
         w = family.assemble(i)
-        # thin: at most |w| pairs, so these pairings fold them
-        assert fsystem._has_pairs(phi, len(w), fsystem.DEFAULT_PAIR_CAP) <= len(w), i
-        assert fs_member(phi, w) is True, i
+        assert fs_member(phi, w) is True, i  # a walk, unless CF/CF
         ok, (r, s) = fs_member(phi, w, with_witness=True)
         assert ok and fold(r, s) == w, i
         if not (phi.core.context_free and phi.proc.context_free):
-            sides = walk_automata(phi, len(w))
-            assert fsystem._walk_windows(*sides, w), i
-            assert fsystem._least_pair(*sides, w) == (r, s), i
+            # a witness search folds these few pairs, so its walk is called directly
+            pairs = fsystem._has_pairs(phi, len(w), fsystem.DEFAULT_PAIR_CAP)
+            assert pairs <= fsystem.FOLD_WITNESS_PAIRS, i
+            assert fsystem._least_pair(*walk_automata(phi, len(w)), w) == (r, s), i
 
 
 def test_membership_with_cf_components():
