@@ -310,11 +310,10 @@ def to_normal_form(g: Grammar) -> _NormalFormGrammar:
 
 def _cyk_masks(nf: _NormalFormGrammar, w: str) -> dict[tuple[str, int], int]:
     """masks[(A, l)] has bit i set iff A derives w[i:i+l].  Only the cells
-    whose length A derives are visited, and only non-zero masks are kept."""
+    whose length A derives are visited, and only non-zero masks are kept.
+    Every symbol of w must be a terminal."""
     table = nf.lengths.upto(len(w))
-    positions: dict[str, int] = {}  # per symbol, a mask of where it is in w
-    for i, ch in enumerate(w):
-        positions[ch] = positions.get(ch, 0) | 1 << i
+    positions = nf.terminals.positions(w)  # per symbol, a mask of where it is in w
     # distinct terminals hold disjoint positions, so their masks sum to their union
     masks = {(a, 1): m for a in table.at[1]
              if (m := sum(positions.get(t, 0) for t in nf.term_prods[a]))}
@@ -422,7 +421,7 @@ class ContextFreeLang:
         nf = self.normal_form
         if not w:
             return nf.start_epsilon
-        if not all(ch in nf.terminals for ch in w):
+        if not nf.terminals.covers(w):
             return False
         return bool(_cyk_masks(nf, w).get((nf.start, len(w)), 0) & 1)
 
@@ -532,7 +531,7 @@ class ContextFreeLang:
         """Decompose via the lowest repeated-nonterminal pair on the longest
         root-to-leaf path of a deterministic parse tree."""
         nf = self.normal_form
-        masks = _cyk_masks(nf, w)
+        masks = _cyk_masks(nf, w) if nf.terminals.covers(w) else {}
         if not (masks.get((nf.start, len(w)), 0) & 1 if w else nf.start_epsilon):
             raise DecompositionError(f"{w!r} is not a member")
         p = self.pumping_length()

@@ -63,7 +63,7 @@ class Alphabet:
         self._set = frozenset(self.symbols)
         self._index = {s: i for i, s in enumerate(self.symbols)}
         self._rank = _Rank({ord(s): chr(i) for i, s in enumerate(self.symbols)})
-        self._indicators: dict[str, dict[int, str]] = {}  # per symbol, built by positions
+        self._indicators: dict[str, _Rank] = {}  # per symbol, built by positions
 
     def __contains__(self, symbol):
         return symbol in self._index
@@ -75,14 +75,16 @@ class Alphabet:
     def positions(self, word: str) -> dict[str, int]:
         """Per symbol a of word, in alphabet order, the int with bit i set
         iff word[i] == a: word reversed, translated to 1 at a and 0 at every
-        other symbol, read in base 2.  Every symbol of word must be in the
-        alphabet."""
+        other symbol, read in base 2.  AlphabetError when a symbol of word
+        is not in the alphabet."""
         backwards, masks = word[::-1], {}
         for a in self.symbols:
             if a in word:
                 if a not in self._indicators:
-                    self._indicators[a] = {ord(b): "01"[b == a] for b in self.symbols}
+                    self._indicators[a] = _Rank({ord(b): "01"[b == a] for b in self.symbols})
                 masks[a] = int(backwards.translate(self._indicators[a]), 2)
+        if word and not masks:  # no symbol of word is in the alphabet
+            raise AlphabetError(f"symbol {word[0]!r} not in alphabet")
         return masks
 
     def __iter__(self):

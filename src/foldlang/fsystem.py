@@ -9,11 +9,12 @@ Each side is counted once, regular first, against what the pair cap
 leaves, before any slice is built.  With a regular side, membership and
 enumeration walk the product of two DFAs forward.  Membership moves the
 fold windows of w, one int of window starts per product state, all at
-once per symbol, and a witness (the least pair) is read back off the
-same walk.  Enumeration (a fold grows its output from the middle out)
-moves the fold stacks, up to the last length with pairs.  A context-free
-side enters as the minimal DFA of the slices the pair check has already
-built to count them, and keeps a decision's.
+once per symbol, by one window step (`_step`), and a witness (the least
+pair) is read back off the same walk with its inverse (`_reaching`).
+Enumeration (a fold grows its output from the middle out) moves the fold
+stacks, up to the last length with pairs.  A context-free side enters as
+the minimal DFA of the slices the pair check has already built to count
+them, and keeps a decision's.
 
 A decision with a regular side always walks.  A witness search reads
 its route off the pair count: up to FOLD_WITNESS_PAIRS pairs are folded
@@ -217,15 +218,9 @@ def _window_layers(core, proc, w: str):
     DFA, t = 0, 1, ... steps in: each maps a (core state, procedure state)
     to its set of window starts, one int.  After t steps the fold stack of
     a pair (r, s), both of length |w|, that folds to w is the window
-    w[j:j+t], j the u steps still to come: a u step reads w[j-1] and moves
-    to j - 1, a d step reads w[j+t].  A step moves every window at once per
-    symbol a, with bit i of pos[a] set iff w[i] == a (the shift-and of
-    Baeza-Yates and Gonnet, CACM 1992): on u the starts become
-    (starts >> 1) & pos[a], on d starts & (pos[a] >> t).  A target is kept
-    only if its core state reaches acceptance in the steps left (its row
-    of `counts`), and its starts are masked by its procedure state's row
-    of `up_masks`: exactly j u steps to acceptance.  A state with neither
-    move left is skipped, and the walk ends at the first empty layer, so
+    w[j:j+t], j the u steps still to come.  Layer 0 holds the start pair
+    at every j its row of `up_masks` allows, and each later layer is one
+    `_step` on every symbol.  The walk ends at the first empty layer, so
     layer |w| exists, holding only accepting pairs at j = 0, iff w folds.
     O(|w|·|Q|·|P|·|Σ|) big-int operations."""
     n = len(w)
@@ -234,71 +229,53 @@ def _window_layers(core, proc, w: str):
         return
     layer = {(core.start, proc.start): ups[n][proc.start]}
     yield layer
-    pos = list(core.alphabet.positions(w).items())
+    reads = list(core.alphabet.positions(w).items())
     for t in range(n):
-        alive, left = live[n - t - 1], ups[n - t - 1]
-        following: dict[tuple[int, int], int] = {}
-        for (q, p), starts in layer.items():
-            moves = proc.transitions[p]
-            up, down = moves["u"], moves["d"]
-            after_up, after_down = starts >> 1 & left[up], starts & left[down]
-            if not (after_up or after_down):
-                continue
-            step = core.transitions[q]
-            for a, at in pos:
-                r = step[a]
-                if r in alive:
-                    if moved := after_up & at:
-                        key = r, up
-                        following[key] = following.get(key, 0) | moved
-                    if moved := after_down & at >> t:
-                        key = r, down
-                        following[key] = following.get(key, 0) | moved
-        if not following:
+        layer = _step(core, proc, layer, t, reads, live[n - t - 1], ups[n - t - 1])
+        if not layer:
             return
-        layer = following
         yield layer
 
 
-def _walk_windows(core, proc, w: str) -> bool:
-    """Whether some r accepted by the core DFA and s by the procedure DFA,
-    both of length |w|, fold to w: whether the window walk
-    (`_window_layers`) reaches layer |w|."""
-    steps = -1
-    for steps, _ in enumerate(_window_layers(core, proc, w)):
-        pass
-    return steps == len(w)
-
-
-def _step(core, proc, layer, t: int, pos, symbols, directions, within):
-    """The layer after step t from layer, reading one of symbols on one of
-    directions, each target's starts masked by its entry in within.  The
-    same window step is inlined in `_window_layers` and inverted in
-    `_reaching`: a start j moves to j - 1 on a u step reading w[j-1] and
-    stays on a d step reading w[j+t].  A change to one shift belongs in
-    all three; the oracle tests fail on a wrong shift in any of them."""
+def _step(core, proc, layer, t: int, reads, alive, left, up_only: bool = False):
+    """The layer after step t of the window walk from layer, reading each
+    (a, at) of reads: every window moves at once per symbol, bit i of at
+    set iff w[i] == a (the shift-and of Baeza-Yates and Gonnet, CACM
+    1992).  A u step reads w[j-1] and moves start j to j - 1; a d step
+    reads w[j+t] and keeps j.  A target is kept only if its core state is
+    in alive (a row of `counts`: acceptance in the steps left), its starts
+    masked by its procedure state's entry in left (a row of `up_masks`:
+    exactly j u steps to acceptance).  up_only leaves out the d moves."""
     following: dict[tuple[int, int], int] = {}
     for (q, p), starts in layer.items():
-        step, moves = core.transitions[q], proc.transitions[p]
-        for a in symbols:
-            at = pos[a]
-            for d in directions:
-                target = step[a], moves[d]
-                moved = (starts >> 1 & at if d == "u" else starts & at >> t) & within.get(target, 0)
-                if moved:
-                    following[target] = following.get(target, 0) | moved
+        moves = proc.transitions[p]
+        up, down = moves["u"], moves["d"]
+        after_up = starts >> 1 & left[up]
+        after_down = 0 if up_only else starts & left[down]
+        if not (after_up or after_down):
+            continue
+        step = core.transitions[q]
+        for a, at in reads:
+            r = step[a]
+            if r in alive:
+                if moved := after_up & at:
+                    key = r, up
+                    following[key] = following.get(key, 0) | moved
+                if moved := after_down & at >> t:
+                    key = r, down
+                    following[key] = following.get(key, 0) | moved
     return following
 
 
-def _reaching(core, proc, layer, t: int, pos, symbols, after):
-    """The starts of layer from which step t, reading one of symbols on
-    either direction, lands on a start of the layer after."""
+def _reaching(core, proc, layer, t: int, reads, after):
+    """The starts of layer from which step t, reading one (a, at) of reads
+    on either direction, lands on a start of the layer after: `_step`
+    inverted, a u target's starts shifted back up, a d target's kept."""
     kept = {}
     for (q, p), starts in layer.items():
         step, moves = core.transitions[q], proc.transitions[p]
         reach = 0
-        for a in symbols:
-            at = pos[a]
+        for a, at in reads:
             reach |= (after.get((step[a], moves["u"]), 0) & at) << 1
             reach |= after.get((step[a], moves["d"]), 0) & at >> t
         if starts & reach:
@@ -310,31 +287,38 @@ def _least_pair(core, proc, w: str) -> tuple[str, str] | None:
     """The least (r, s) that folds to w, r accepted by the core DFA and s
     by the procedure DFA, or None: the least r in core order, then the
     least s, u before d.  The window walk's layers (`_window_layers`) are
-    kept, and a backward pass keeps only the starts that still reach
-    acceptance.  r is then picked one symbol at a time, the least whose
-    step leaves a start; the layers shrink to the starts r's prefix
-    reaches, a second backward pass keeps those that r's rest takes to
-    acceptance, and s is picked the same way.  O(|w|·|Q|·|P|·|Σ|) big-int
-    operations and |w| + 1 layers."""
+    kept, and a backward pass (`_reaching`) keeps only the starts that
+    still reach acceptance.  r is then picked one symbol at a time, the
+    least a whose `_step` on a alone reaches a start of the next layer,
+    which shrinks to those starts.  A second pass keeps the starts r's rest
+    takes to acceptance, and s is picked the same way: u if the step on
+    r's symbol without its d moves reaches a start, else d.
+    O(|w|·|Q|·|P|·|Σ|) big-int operations and |w| + 1 layers."""
     n = len(w)
     layers = list(_window_layers(core, proc, w))
     if len(layers) <= n:
         return None
-    pos = core.alphabet.positions(w)
-    order = list(pos)
+    live, ups, pos = core.counts(n), proc.up_masks(n), core.alphabet.positions(w)
+
+    def kept(t, a, up_only=False):
+        # the starts of layer t + 1 that step t reaches from layer t, reading a
+        moved = _step(core, proc, layers[t], t, [(a, pos[a])], live[n - t - 1], ups[n - t - 1],
+                      up_only)
+        return {k: m for k, v in moved.items() if (m := v & layers[t + 1].get(k, 0))}
+
     for t in range(n - 1, -1, -1):
-        layers[t] = _reaching(core, proc, layers[t], t, pos, order, layers[t + 1])
-    r, s = [], []
+        layers[t] = _reaching(core, proc, layers[t], t, pos.items(), layers[t + 1])
+    r = []
     for t in range(n):
-        a, layers[t + 1] = next((a, moved) for a in order if (
-            moved := _step(core, proc, layers[t], t, pos, a, "ud", layers[t + 1])))
+        a, layers[t + 1] = next((a, moved) for a in pos if (moved := kept(t, a)))
         r.append(a)
     for t in range(n - 1, -1, -1):
-        layers[t] = _reaching(core, proc, layers[t], t, pos, r[t], layers[t + 1])
+        layers[t] = _reaching(core, proc, layers[t], t, [(r[t], pos[r[t]])], layers[t + 1])
+    s = []
     for t in range(n):
-        d, layers[t + 1] = next((d, moved) for d in "ud" if (
-            moved := _step(core, proc, layers[t], t, pos, r[t], d, layers[t + 1])))
-        s.append(d)
+        up = kept(t, r[t], up_only=True)
+        s.append("u" if up else "d")
+        layers[t + 1] = up or kept(t, r[t])  # a d step, as no u step is left
     return "".join(r), "".join(s)
 
 
@@ -388,11 +372,12 @@ def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
 
     CF/CF, and a witness search with at most FOLD_WITNESS_PAIRS pairs,
     fold the pairs one by one (`_folds`), stopping at the witness.  Any
-    other query walks fold windows over two DFAs (`_walk_windows`, and
-    `_least_pair` for a witness), a context-free side entering as the DFA
-    of its slice at |w|, built on the first walk at |w| and kept.  A walk
-    whose tables would outgrow the budget the cap sets (`_check_tables`)
-    is refused with ResourceLimit before they are built."""
+    other query walks fold windows over two DFAs (`_window_layers`, which
+    reaches layer |w| iff w folds, and `_least_pair` for a witness), a
+    context-free side entering as the DFA of its slice at |w|, built on
+    the first walk at |w| and kept.  A walk whose tables would outgrow the
+    budget the cap sets (`_check_tables`) is refused with ResourceLimit
+    before they are built."""
     if pair_cap < 0:
         raise ValueError("pair_cap must be >= 0")
     n, witness = len(w), None
@@ -403,7 +388,7 @@ def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
                       for side in (phi.core, phi.proc)]
         _check_tables(core, proc, n, pair_cap, with_witness)
         if not with_witness:
-            return _walk_windows(core, proc, w)
+            return sum(map(bool, _window_layers(core, proc, w))) > n  # every layer is non-empty
         witness = _least_pair(core, proc, w)
     elif pairs:
         witness = next(((r, s) for folded, r, s in _folds(phi, n) if folded == w), None)

@@ -18,8 +18,8 @@ each state from which some length-k word leads to acceptance to the
 number of such words.  Every length query reads it: `has_length` and
 `count_length` look up the start state, and enumeration and
 `smallest_of_length` prune with it, so a slice is counted exactly before
-it is built.  Nothing recurses: the parser, the compile, the enumeration
-and `is_infinite` use explicit stacks or worklists.
+it is built.  Nothing recurses but the enumeration, log2(n / 64) deep:
+the parser, the compile and `is_infinite` use explicit stacks or worklists.
 
 Concrete regex syntax: single-character literals, `|` union (lowest
 precedence), juxtaposition for concatenation, postfix `*` `+` `?`,
@@ -419,8 +419,9 @@ class RegularLang:
     def enumerate_length(self, n: int) -> tuple[str, ...]:
         """Met in the middle: the live prefixes of length h = n // 2, each
         with its end state and in alphabet order, then each followed by its
-        end state's suffixes of length n - h, walked forward from the end
-        states the prefixes reach.  Nothing beyond the two halves is held."""
+        end state's suffixes of length n - h.  A span of over 64 symbols is
+        split the same way and its halves joined, so a thin slice takes
+        about n log n time, not n^2."""
         if n < 0:
             raise ValueError("n must be >= 0")
         auto = self.automaton
@@ -429,26 +430,35 @@ class RegularLang:
             return ()
         transitions, symbols = auto.transitions, self.alphabet.symbols
 
-        def walk(paths, left, steps):
-            # extend each (word, origin, state), left symbols short of n, by
-            # steps symbols, keeping the paths that can still reach acceptance;
-            # plain loops, because a thin slice takes many one-path steps
+        def spans(origins, left, steps):
+            # per origin state, each (word, end state) of steps symbols from it,
+            # left symbols short of n, that can still reach acceptance, in
+            # alphabet order; plain loops, as a thin slice takes many one-path steps
+            if steps > 64:
+                half = steps // 2
+                heads = spans(origins, left, half)
+                tails = spans({q for words in heads.values() for _, q in words},
+                              left - half, steps - half)
+                return {q: [(x + y, r) for x, p in heads[q] for y, r in tails[p]]
+                        for q in origins}
+            found = {q: [("", q)] for q in origins}
             for k in range(left - 1, left - steps - 1, -1):
-                live, extended = counts[k], []
-                for x, origin, q in paths:
-                    row = transitions[q]
-                    for s in symbols:
-                        if row[s] in live:
-                            extended.append((x + s, origin, row[s]))
-                paths = extended
-            return paths
+                live = counts[k]
+                for origin, words in found.items():
+                    extended = []
+                    for x, q in words:
+                        row = transitions[q]
+                        for s in symbols:
+                            if row[s] in live:
+                                extended.append((x + s, row[s]))
+                    found[origin] = extended
+            return found
 
-        prefixes = walk([("", auto.start, auto.start)], n, n // 2)
-        ends = {q for _, _, q in prefixes}
-        suffixes: dict[int, list[str]] = {q: [] for q in ends}
-        for x, q, _ in walk([("", q, q) for q in ends], n - n // 2, n - n // 2):
-            suffixes[q].append(x)  # the paths of one origin stay in alphabet order
-        return tuple([p + x for p, _, q in prefixes for x in suffixes[q]])
+        h = n // 2
+        prefixes = spans({auto.start}, n, h)[auto.start]
+        suffixes = {q: [x for x, _ in words]
+                    for q, words in spans({q for _, q in prefixes}, n - h, n - h).items()}
+        return tuple([p + x for p, q in prefixes for x in suffixes[q]])
 
     def count_length(self, n: int, budget: int | None = None) -> int:
         """Exact, from the length table, whatever the budget; no string is

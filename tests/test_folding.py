@@ -155,6 +155,14 @@ def test_sort_key_rejects_foreign_symbols():
         Alphabet("ab").sort_key("abc")
 
 
+@pytest.mark.parametrize("word", ["abx", "xab", "x", "xx"])
+def test_positions_reject_foreign_symbols(word):
+    alphabet = Alphabet("ab")
+    alphabet.positions("ab")  # the indicator tables are kept, and still refuse
+    with pytest.raises(AlphabetError, match="'x' not in alphabet"):
+        alphabet.positions(word)
+
+
 @pytest.mark.parametrize("symbols,message", [
     ("", "non-empty"),
     (["a", "bc"], "single characters"),

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from foldlang import (PROC_ALPHABET, Alphabet, ContextFreeLang, FSystem, RegularLang,
                       auto_plan, equal_length_pair, finite_language_system, fold,
-                      fs_enumerate, fs_member, fsystem, parse_spec, plan_to_family,
-                      load_spec)
+                      fold_permutation, fs_enumerate, fs_member, fsystem, parse_spec,
+                      plan_to_family, load_spec)
 from foldlang.errors import (AlphabetError, NoEqualLengthPair, ResourceLimit,
                              SpecFileError)
 
@@ -240,7 +240,7 @@ def test_decision_builds_no_regular_slice(monkeypatch):
 
 def tuple_walk_windows(core, proc, w):
     """The window walk one (core state, procedure state, j) tuple at a
-    time, with its own tables: the reference for `fsystem._walk_windows`.
+    time, with its own tables: the reference for `fsystem._window_layers`.
     live[q] has bit k set iff q reaches acceptance in k steps, ups[k][p]
     bit j iff p does so in k steps with exactly j u steps."""
     n = len(w)
@@ -264,6 +264,12 @@ def tuple_walk_windows(core, proc, w):
                     following.add((step[w[at]], p2, j2))
         layer = following
     return bool(layer)
+
+
+def walks_to_the_end(sides, w):
+    """Whether the window walk over the two DFAs yields layer |w|: the
+    decision fs_member makes."""
+    return sum(1 for _ in fsystem._window_layers(*sides, w)) == len(w) + 1
 
 
 def walk_automata(phi, n):
@@ -312,9 +318,51 @@ def test_bit_parallel_walk_matches_the_tuple_walk(core_cf, proc_cf, data):
             member, k = fold(r, s), rng.randrange(n)
             flipped = member[:k] + ("b" if member[k] == "a" else "a") + member[k + 1:]
             words += [member, flipped]
-            assert fsystem._walk_windows(*sides, member)
+            assert walks_to_the_end(sides, member)
         for w in words:
-            assert fsystem._walk_windows(*sides, w) == tuple_walk_windows(*sides, w), w
+            assert walks_to_the_end(sides, w) == tuple_walk_windows(*sides, w), w
+
+
+def unfold_witness(phi, w):
+    """The least (r, s) that folds to w, with no window walk: every s of
+    the procedure slice fixes r, r[fold_permutation(s)[k]] == w[k], and
+    the r the core accepts are compared, the least r first, then the least
+    s (the slice is in procedure order, so the first s of each r)."""
+    best = None
+    for s in phi.proc.enumerate_length(len(w)):
+        r = [""] * len(w)
+        for k, i in enumerate(fold_permutation(s)):
+            r[i] = w[k]
+        r = "".join(r)
+        if phi.core.member(r) and (best is None or AB.sort_key(r) < AB.sort_key(best[0])):
+            best = r, s
+    return best
+
+
+@pytest.mark.parametrize("core_cf,proc_cf", [(False, False), (False, True), (True, False)],
+                         ids=["REG/REG", "REG/CF", "CF/REG"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_walk_witnesses_are_least_on_long_words(core_cf, proc_cf, data):
+    # infinite sides only: most drawn languages have no word of length 16
+    infinite = lambda lang: lang.is_infinite()
+    phi = FSystem(data.draw(languages(AB, core_cf).filter(infinite)),
+                  data.draw(languages(PROC_ALPHABET, proc_cf).filter(infinite)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    for n in data.draw(st.lists(st.integers(16, 64), min_size=1, max_size=4)):
+        # the reference unfolds the whole procedure slice, and a context-free
+        # core enters the walk as its slice DFA: only while each is small
+        if any(side.count_length(n, 2000) > 2000 for side in (phi.core, phi.proc)
+               if side is phi.proc or side.context_free):
+            continue
+        sides = walk_automata(phi, n)
+        r, s = (random_member(auto, n, rng) for auto in sides)
+        if r is None or s is None:
+            continue
+        member, k = fold(r, s), rng.randrange(n)
+        flipped = member[:k] + ("b" if member[k] == "a" else "a") + member[k + 1:]
+        for w in (member, flipped):
+            assert fsystem._least_pair(*sides, w) == unfold_witness(phi, w), w
 
 
 #: REG/REG, CF/REG and REG/CF, with a member and a non-member per length.
