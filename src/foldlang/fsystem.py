@@ -18,10 +18,11 @@ them, and keeps a decision's.
 
 A decision with a regular side always walks.  A witness search reads
 its route off the pair count: up to FOLD_WITNESS_PAIRS pairs are folded
-(`_folds`), the measured crossover, and more are walked.  A walk's
-tables are checked against a budget set by the pair cap before they
-grow.  CF/CF, and enumeration with witnesses, fold every equal-length
-pair, exponential but exact.
+(`_folds`), the measured crossover, and more are walked.  A walk keeps
+no table but the two DFAs' `counts`; only a witness's window layers are
+checked against a budget set by the pair cap before they grow.  CF/CF,
+and enumeration with witnesses, fold every equal-length pair,
+exponential but exact.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from .regular import RegDecomposition, RegularLang
 #: Per-length candidate-pair cap, checked from the slice counts.
 DEFAULT_PAIR_CAP = 500_000
 
-#: Bits a walk's table may hold per candidate pair of the pair cap: about
-#: what one pair costs the fold route at the cap, a short string object
-#: (32 MB at the default cap).
+#: Bits a witness's window layers may hold per candidate pair of the pair
+#: cap: about what one pair costs the fold route at the cap, a short string
+#: object (32 MB at the default cap).
 TABLE_BITS_PER_PAIR = 512
 
 #: A witness search with at most this many pairs folds them; with more it
@@ -190,8 +191,12 @@ def _follow_product(core, proc, max_len: int) -> list[set[str]]:
     reach it: reading a on u makes a + stack, on d stack + a.  A product
     state is dropped when no accepting pair is reachable from it in the
     steps left; the two sides step independently, so that is a common
-    set bit of their length masks (`Automaton.length_masks`)."""
-    live_core, live_proc = core.length_masks(max_len), proc.length_masks(max_len)
+    set bit of their length masks, read off `counts` once per call."""
+    live_core, live_proc = masks = [[0] * auto.n_states for auto in (core, proc)]
+    for auto, live in zip((core, proc), masks):
+        for k, row in enumerate(auto.counts(max_len)[:max_len + 1]):
+            for q in row:
+                live[q] |= 1 << k
     layer = {(core.start, proc.start): {""}}
     by_length = []
     for i in range(max_len + 1):
@@ -219,45 +224,45 @@ def _window_layers(core, proc, w: str):
     to its set of window starts, one int.  After t steps the fold stack of
     a pair (r, s), both of length |w|, that folds to w is the window
     w[j:j+t], j the u steps still to come.  Layer 0 holds the start pair
-    at every j its row of `up_masks` allows, and each later layer is one
-    `_step` on every symbol.  The walk ends at the first empty layer, so
-    layer |w| exists, holding only accepting pairs at j = 0, iff w folds.
-    O(|w|·|Q|·|P|·|Σ|) big-int operations."""
+    at every u count of an accepted s (`u_counts`), and each later layer
+    is one `_step` on every symbol: a u step lowers j and a d step reads
+    w[j+t], so j never exceeds the steps left.  The walk ends at the first
+    empty layer, so layer |w| exists, holding only accepting pairs at
+    j = 0, iff w folds.  O(|w|·|Q|·|P|·|Σ|) big-int operations."""
     n = len(w)
-    live, ups = core.counts(n), proc.up_masks(n)
-    if core.start not in live[n] or not ups[n][proc.start]:
+    core_live, proc_live, starts = core.counts(n), proc.counts(n), proc.u_counts(n)
+    if core.start not in core_live[n] or not starts:
         return
-    layer = {(core.start, proc.start): ups[n][proc.start]}
+    layer = {(core.start, proc.start): starts}
     yield layer
     reads = list(core.alphabet.positions(w).items())
     for t in range(n):
-        layer = _step(core, proc, layer, t, reads, live[n - t - 1], ups[n - t - 1])
+        layer = _step(core, proc, layer, t, reads, core_live[n - t - 1], proc_live[n - t - 1])
         if not layer:
             return
         yield layer
 
 
-def _step(core, proc, layer, t: int, reads, alive, left, up_only: bool = False):
+def _step(core, proc, layer, t: int, reads, core_alive, proc_alive, up_only: bool = False):
     """The layer after step t of the window walk from layer, reading each
     (a, at) of reads: every window moves at once per symbol, bit i of at
     set iff w[i] == a (the shift-and of Baeza-Yates and Gonnet, CACM
     1992).  A u step reads w[j-1] and moves start j to j - 1; a d step
     reads w[j+t] and keeps j.  A target is kept only if its core state is
-    in alive (a row of `counts`: acceptance in the steps left), its starts
-    masked by its procedure state's entry in left (a row of `up_masks`:
-    exactly j u steps to acceptance).  up_only leaves out the d moves."""
+    in core_alive and its procedure state in proc_alive, rows of `counts`:
+    acceptance in the steps left.  up_only leaves out the d moves."""
     following: dict[tuple[int, int], int] = {}
     for (q, p), starts in layer.items():
         moves = proc.transitions[p]
         up, down = moves["u"], moves["d"]
-        after_up = starts >> 1 & left[up]
-        after_down = 0 if up_only else starts & left[down]
+        after_up = starts >> 1 if up in proc_alive else 0
+        after_down = starts if down in proc_alive and not up_only else 0
         if not (after_up or after_down):
             continue
         step = core.transitions[q]
         for a, at in reads:
             r = step[a]
-            if r in alive:
+            if r in core_alive:
                 if moved := after_up & at:
                     key = r, up
                     following[key] = following.get(key, 0) | moved
@@ -298,12 +303,12 @@ def _least_pair(core, proc, w: str) -> tuple[str, str] | None:
     layers = list(_window_layers(core, proc, w))
     if len(layers) <= n:
         return None
-    live, ups, pos = core.counts(n), proc.up_masks(n), core.alphabet.positions(w)
+    core_live, proc_live, pos = core.counts(n), proc.counts(n), core.alphabet.positions(w)
 
     def kept(t, a, up_only=False):
         # the starts of layer t + 1 that step t reaches from layer t, reading a
-        moved = _step(core, proc, layers[t], t, [(a, pos[a])], live[n - t - 1], ups[n - t - 1],
-                      up_only)
+        moved = _step(core, proc, layers[t], t, [(a, pos[a])], core_live[n - t - 1],
+                      proc_live[n - t - 1], up_only)
         return {k: m for k, v in moved.items() if (m := v & layers[t + 1].get(k, 0))}
 
     for t in range(n - 1, -1, -1):
@@ -322,22 +327,16 @@ def _least_pair(core, proc, w: str) -> tuple[str, str] | None:
     return "".join(r), "".join(s)
 
 
-def _check_tables(core, proc, n: int, pair_cap: int, witness: bool) -> None:
-    """ResourceLimit before a walk at n would need a table of more than
-    TABLE_BITS_PER_PAIR bits per candidate pair of the cap: the procedure's
-    u-count table up to row n (`up_masks`, row k up to k + 1 bits per
-    state), kept after the walk, or a witness's window layers, up to
-    |Q|·|P| ints of n + 1 bits per layer.  The whole table is checked, not
-    what the call adds, so the answer does not depend on earlier calls."""
-    budget = pair_cap * TABLE_BITS_PER_PAIR
-    tables = [("u-count table", proc.n_states * (n + 1) * (n + 2) // 2)]
-    if witness:
-        tables.append(("witness layers", (n + 1) ** 2 * core.n_states * proc.n_states))
-    for name, bits in tables:
-        if bits > budget:
-            raise ResourceLimit(f"{name} at length {n} would hold up to {bits} bits: over the "
-                                f"budget of {TABLE_BITS_PER_PAIR} bits per candidate pair of "
-                                f"the cap of {pair_cap}")
+def _check_tables(core, proc, n: int, pair_cap: int) -> None:
+    """ResourceLimit before a witness's window layers at n, n + 1 layers
+    of up to |Q|·|P| ints of n + 1 bits, would hold more than
+    TABLE_BITS_PER_PAIR bits per candidate pair of the cap.  A decision
+    keeps one layer at a time, so it is not checked."""
+    bits = (n + 1) ** 2 * core.n_states * proc.n_states
+    if bits > pair_cap * TABLE_BITS_PER_PAIR:
+        raise ResourceLimit(f"witness layers at length {n} would hold up to {bits} bits: over the "
+                            f"budget of {TABLE_BITS_PER_PAIR} bits per candidate pair of "
+                            f"the cap of {pair_cap}")
 
 
 def _folds(phi: FSystem, n: int):
@@ -375,9 +374,9 @@ def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
     other query walks fold windows over two DFAs (`_window_layers`, which
     reaches layer |w| iff w folds, and `_least_pair` for a witness), a
     context-free side entering as the DFA of its slice at |w|, built on
-    the first walk at |w| and kept.  A walk whose tables would outgrow the
-    budget the cap sets (`_check_tables`) is refused with ResourceLimit
-    before they are built."""
+    the first walk at |w| and kept.  A witness walk whose layers would
+    outgrow the budget the cap sets (`_check_tables`) is refused with
+    ResourceLimit before they are built."""
     if pair_cap < 0:
         raise ValueError("pair_cap must be >= 0")
     n, witness = len(w), None
@@ -386,9 +385,9 @@ def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
     if pairs and not folds and not (phi.core.context_free and phi.proc.context_free):
         core, proc = [side.slice_automaton(n) if side.context_free else side.automaton
                       for side in (phi.core, phi.proc)]
-        _check_tables(core, proc, n, pair_cap, with_witness)
         if not with_witness:
             return sum(map(bool, _window_layers(core, proc, w))) > n  # every layer is non-empty
+        _check_tables(core, proc, n, pair_cap)
         witness = _least_pair(core, proc, w)
     elif pairs:
         witness = next(((r, s) for folded, r, s in _folds(phi, n) if folded == w), None)

@@ -16,10 +16,12 @@ decomposition is taken at the first repeated state along the run.
 Each automaton keeps one length table, grown on demand: counts[k] maps
 each state from which some length-k word leads to acceptance to the
 number of such words.  Every length query reads it: `has_length` and
-`count_length` look up the start state, and enumeration and
-`smallest_of_length` prune with it, so a slice is counted exactly before
-it is built.  Nothing recurses but the enumeration, log2(n / 64) deep:
-the parser, the compile and `is_infinite` use explicit stacks or worklists.
+`count_length` look up the start state, and enumeration,
+`smallest_of_length`, `u_counts` (the u counts of a procedure's accepted
+words) and the F-system's walks prune with it, so a slice is counted
+exactly before it is built.  Nothing recurses but the enumeration,
+log2(n / 64) deep: the parser, the compile and `is_infinite` use
+explicit stacks or worklists.
 
 Concrete regex syntax: single-character literals, `|` union (lowest
 precedence), juxtaposition for concatenation, postfix `*` `+` `?`,
@@ -30,7 +32,8 @@ language.  No escapes or character classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .errors import DecompositionError, FoldlangError, RegexSyntaxError
 from .folding import Alphabet
@@ -212,8 +215,9 @@ class Automaton:
 
     States are 0..n-1; transitions is a list of per-state dicts mapping
     every alphabet symbol to a state.  The language is fixed at
-    construction; the tables read off it (`counts`, `length_masks`,
-    `up_masks`) are grown on demand, a row for k steps never changing."""
+    construction; its one length table (`counts`) is grown on demand, a
+    row for k steps never changing, and `u_counts` keeps one int per
+    length asked."""
 
     def __init__(self, alphabet: Alphabet, transitions, start: int, accepting):
         self.alphabet = alphabet
@@ -228,9 +232,7 @@ class Automaton:
             for r in t.values():
                 self._preds[r].append(q)
         self._counts: list[dict[int, int]] = [dict.fromkeys(self.accepting, 1)]
-        self._lengths: list[int] = []  # length_masks and up_masks, filled on first use
-        self._length_rows = 0
-        self._ups: list[list[int]] = []
+        self._u_counts: dict[int, int] = {}
 
     @property
     def n_states(self) -> int:
@@ -275,27 +277,25 @@ class Automaton:
             table.append(row)
         return table
 
-    def length_masks(self, n: int) -> list[int]:
-        """Per state, bit k set iff some length-k word leads to acceptance,
-        for every k <= n; bits above n may be set by an earlier, longer
-        call.  Read off `counts` and grown with it."""
-        table, masks = self.counts(n), self._lengths or [0] * self.n_states
-        for k in range(self._length_rows, len(table)):
-            for q in table[k]:
-                masks[q] |= 1 << k
-        self._lengths, self._length_rows = masks, len(table)
-        return masks
-
-    def up_masks(self, n: int) -> list[list[int]]:
-        """For an automaton over {u, d}, the u-count table grown to cover n:
-        row k maps each state to a bitmask, bit j set iff some length-k
-        word with exactly j u steps leads from it to acceptance."""
-        table = self._ups
-        if not table:
-            table.append([int(q in self.accepting) for q in range(self.n_states)])
-        while len(table) <= n:
-            table.append([table[-1][t["u"]] << 1 | table[-1][t["d"]] for t in self.transitions])
-        return table
+    def u_counts(self, n: int) -> int:
+        """For an automaton over {u, d}: bit j set iff some accepted word of
+        length n has exactly j u steps.  One forward pass, kept per n: after
+        i steps each state maps to the u counts of the words that reach it,
+        pruned to the states that reach acceptance in n - i steps (`counts`)."""
+        if n not in self._u_counts:
+            table = self.counts(n)
+            reach = {self.start: 1} if self.start in table[n] else {}
+            for k in range(n - 1, -1, -1):
+                live, following = table[k], {}
+                for p, ups in reach.items():
+                    moves = self.transitions[p]
+                    if (r := moves["u"]) in live:
+                        following[r] = following[r] | ups << 1 if r in following else ups << 1
+                    if (r := moves["d"]) in live:
+                        following[r] = following[r] | ups if r in following else ups
+                reach = following
+            self._u_counts[n] = reduce(or_, reach.values(), 0)
+        return self._u_counts[n]
 
 
 def compile_ast(ast: RegexAst, alphabet: Alphabet) -> Automaton:

@@ -14,7 +14,7 @@ from foldlang import (PROC_ALPHABET, Alphabet, ContextFreeLang, FSystem, Regular
 from foldlang.errors import (AlphabetError, NoEqualLengthPair, ResourceLimit,
                              SpecFileError)
 
-from conftest import AB, random_word, regex_asts, small_grammars, system
+from conftest import AB, lang, random_word, regex_asts, small_grammars, system
 
 BB_FRONT = system("aaaab*", "(uu)*ddd")
 
@@ -154,6 +154,18 @@ def test_membership():
     assert ok and fold(r, s) == "aaaabbb"
     ok, witness = fs_member(BB_FRONT, "bbbbbbb", with_witness=True)
     assert not ok and witness is None
+
+
+@pytest.mark.parametrize("core,proc", [("(ab)*", "u*d*"), ("abb", "udd|duu"), ("(aa|b)*", "u*d*")])
+def test_walk_prunes_the_procedure_by_its_counts(core, proc):
+    # a walk that kept a u step into a procedure state with no accepted
+    # word in the steps left would end on such a state, and take bbaa as a
+    # member of the first system
+    phi = system(core, proc)
+    for n in range(6):
+        least = fold_oracle(phi, n)
+        for w in map("".join, itertools.product(AB.symbols, repeat=n)):
+            assert fs_member(phi, w) == (w in least), w
 
 
 def test_member_stops_at_its_witness(monkeypatch):
@@ -305,6 +317,11 @@ def test_bit_parallel_walk_matches_the_tuple_walk(core_cf, proc_cf, data):
             ok = fs_member(phi, w)
             assert ok == tuple_walk_windows(*walk_automata(phi, n), w), w
             assert ok == fs_member(phi, w, with_witness=True)[0], w
+    # longer words on infinite sides only: most drawn languages have no
+    # word of length 16, and a long member needs both sides
+    infinite = lambda lang: lang.is_infinite()
+    phi = FSystem(data.draw(languages(AB, core_cf).filter(infinite)),
+                  data.draw(languages(PROC_ALPHABET, proc_cf).filter(infinite)))
     rng = data.draw(st.randoms(use_true_random=False))
     for n in data.draw(st.lists(st.integers(16, 64), min_size=1, max_size=4)):
         # a context-free side enters as its slice DFA: only while the slice is small
@@ -419,32 +436,48 @@ def test_slice_dfa_is_built_once_per_side_and_length(monkeypatch):
     assert list(phi.proc._slice_dfas) == [8]
 
 
-def test_walk_tables_are_bounded_before_they_grow():
+def test_walk_tables_are_bounded_before_they_grow(monkeypatch):
     # a*b* has n + 1 strings at each n and (ud)* one at even n: n + 1 pairs,
     # so the pairing walks; each DFA has three states
     w = fold("a" * 200 + "b" * 200, "ud" * 200)
-    shorter = fold("a" * 150 + "b" * 150, "ud" * 150)
-    # 401 pairs buy 401 * 512 = 205,312 bits, and the u-count table to row 400
-    # would take 3 * 401 * 402 / 2 = 241,803; to row 300 it takes 136,353
-    refusal = ("^u-count table at length 400 would hold up to 241803 bits: over the budget "
-               "of 512 bits per candidate pair of the cap of 401$")
-    for first in ((), (shorter,)):
-        phi = system("a*b*", "(ud)*")
-        for v in first:
-            assert fs_member(phi, v, pair_cap=401) is True
-        rows = len(phi.proc.automaton.up_masks(0))
-        # the whole table is checked, so a shorter word decided first changes nothing
+    phi = system("a*b*", "(ud)*")
+    # a decision keeps one layer at a time, and of the procedure only its
+    # counts and one int of u counts per length: it answers at the least cap
+    # that lets the 401 pairs through
+    assert fs_member(phi, w, pair_cap=401) is True
+    assert phi.proc.automaton._u_counts == {400: 1 << 200}
+    # 1,000 pairs buy 512,000 bits, not enough for a witness's 401 layers of
+    # up to 9 ints of 401 bits; the refusal comes before the first layer
+    refusal = ("^witness layers at length 400 would hold up to 1447209 bits: over the budget "
+               "of 512 bits per candidate pair of the cap of 1000$")
+    with monkeypatch.context() as patch:
+        patch.setattr(fsystem, "_window_layers", None)
         with pytest.raises(ResourceLimit, match=refusal):
-            fs_member(phi, w, pair_cap=401)
-        assert len(phi.proc.automaton.up_masks(0)) == rows  # refused before a row was added
-    # 1,000 pairs buy 512,000 bits: enough for the rows, not for a witness's
-    # 401 layers of up to 9 ints of 401 bits
-    assert fs_member(phi, w, pair_cap=1000) is True
-    with pytest.raises(ResourceLimit, match="^witness layers at length 400 would hold up to "
-                                            "1447209 bits: "):
-        fs_member(phi, w, pair_cap=1000, with_witness=True)
+            fs_member(phi, w, pair_cap=1000, with_witness=True)
     ok, (r, s) = fs_member(phi, w, pair_cap=3000, with_witness=True)
     assert ok and fold(r, s) == w and phi.core.member(r) and phi.proc.member(s)
+
+
+@pytest.mark.parametrize("context_free", [False, True], ids=["regex", "slice DFA"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_u_counts_match_the_slice(context_free, data):
+    side = data.draw(languages(PROC_ALPHABET, context_free))
+    for n in range(11):
+        auto = side.slice_automaton(n) if context_free else side.automaton
+        expected = 0
+        for s in side.enumerate_length(n):
+            expected |= 1 << s.count("u")
+        assert auto.u_counts(n) == expected, n
+
+
+def test_u_counts_of_empty_slices_and_the_empty_word():
+    for text, n, expected in [("[]", 0, 0), ("()", 0, 1), ("()", 3, 0), ("(ud)*", 0, 1),
+                              ("(ud)*", 5, 0), ("(ud)*", 6, 1 << 3), ("(u|d)*", 3, 0b1111),
+                              ("S -> u S d | eps", 4, 1 << 2), ("S -> u S d | eps", 3, 0)]:
+        side = lang(text, PROC_ALPHABET)
+        auto = side.slice_automaton(n) if side.context_free else side.automaton
+        assert auto.u_counts(n) == expected, (text, n)
 
 
 #: The six systems of demos/pumping_pipelines.py, one or more per pairing.
