@@ -4,8 +4,8 @@
 protocol (`foldlang.fsystem.Language`): it holds the query code itself.
 Grammars are parsed from a line-oriented syntax and converted to a binary
 normal form (A -> BC / A -> a, plus a start-epsilon flag).  Membership is
-CYK, enumeration is per length, and the pumping decomposition is taken
-from a deterministic parse tree.
+CYK, enumeration is per length, the pumping decomposition is taken from a
+deterministic parse tree, and no DFA is built: an F-system builds a slice's.
 
 Each normal form grammar holds one length table (`LengthTable`): bit l of
 `bits[A]` is set iff A derives a string of length l, `rev[A]` holds the
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from .errors import DecompositionError, FoldlangError, GrammarSyntaxError, ResourceLimit
 from .folding import Alphabet
 from .graph import closure, fill, has_cycle, set_bits
-from .regular import Automaton, RegularLang
 
 _NONTERM = re.compile(r"[A-Z][A-Za-z0-9_]*$")
 
@@ -415,7 +414,6 @@ class ContextFreeLang:
         self.normal_form = to_normal_form(self.grammar)
         self._strings: dict[tuple[str, int], tuple[str, ...]] = {}
         self._least: dict[tuple[str, int], str] = {}
-        self._slice_dfas: dict[int, Automaton] = {}
 
     def member(self, w: str) -> bool:
         nf = self.normal_form
@@ -477,14 +475,6 @@ class ContextFreeLang:
 
         return self._solve(self._strings, n,
                            lambda terms: tuple(sorted(terms, key=key)), join)
-
-    def slice_automaton(self, n: int) -> Automaton:
-        """The minimal DFA of slice n (`RegularLang.from_words`), built on
-        the first call for n and kept; ValueError when n < 0."""
-        if n not in self._slice_dfas:
-            self._slice_dfas[n] = RegularLang.from_words(
-                self.enumerate_length(n), self.alphabet).automaton
-        return self._slice_dfas[n]
 
     def has_length(self, n: int) -> bool:
         nf = self.normal_form

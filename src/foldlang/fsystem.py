@@ -14,7 +14,7 @@ pair) is read back off the same walk with its inverse (`_reaching`).
 Enumeration (a fold grows its output from the middle out) moves the fold
 stacks, up to the last length with pairs.  A context-free side enters as
 the minimal DFA of the slices the pair check has already built to count
-them, and keeps a decision's.
+them, and the frozen F-system keeps what a window walk at n reads (`_walk`).
 
 A decision with a regular side always walks.  A witness search reads
 its route off the pair count: up to FOLD_WITNESS_PAIRS pairs are folded
@@ -27,8 +27,9 @@ exponential but exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import itemgetter, or_
 from typing import ClassVar, Protocol
 
 from .cfg import CfgDecomposition, ContextFreeLang
@@ -59,9 +60,7 @@ class Language(Protocol):
     """What the F-system, pumping and CLI code asks of a component
     language.  RegularLang and ContextFreeLang implement it, and callers
     tell them apart only through `context_free`.  The product walks of
-    fs_member and fs_enumerate also read a regular engine's `automaton`,
-    and a window walk a context-free engine's `slice_automaton(n)`: the
-    minimal DFA of its slice at n, built once and kept."""
+    fs_member and fs_enumerate also read a regular engine's `automaton`."""
 
     #: True for a context-free engine, False for a regular one; it picks
     #: the pumping lemma and the decomposition shape.
@@ -102,12 +101,14 @@ class Language(Protocol):
         """Whether the language has infinitely many members."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FSystem:
-    """Pair (core language over Sigma, procedure language over {u, d})."""
+    """Pair (core language over Sigma, procedure language over {u, d}).
+    Frozen, as it keeps what a window walk at each length reads (`_walk`)."""
 
     core: Language
     proc: Language
+    _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.proc.alphabet != PROC_ALPHABET:
@@ -174,7 +175,7 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
 
 
 def _automata(phi: FSystem, lengths) -> list:
-    """The (core, procedure) DFAs an enumeration walks: a regular side's
+    """The (core, procedure) DFAs a product walk reads: a regular side's
     own, and for a context-free side the minimal DFA (`from_words`) of its
     slices at the given lengths, which counting them has already built."""
     return [RegularLang.from_words([w for n in lengths for w in side.enumerate_length(n)],
@@ -218,19 +219,43 @@ def _follow_product(core, proc, max_len: int) -> list[set[str]]:
     return by_length
 
 
-def _window_layers(core, proc, w: str):
+def _walk(phi: FSystem, n: int):
+    """(core DFA, procedure DFA, u-count mask) for a window walk at n, a
+    length `_has_pairs` let through: built on the first walk at n and kept
+    with the system.  The DFAs are `_automata`'s.  Bit j of the mask is set
+    iff an accepted s of length n has exactly j u steps: one forward pass,
+    each procedure state mapping to the u counts of the prefixes that reach
+    it, pruned by `counts` to the states that still reach acceptance."""
+    walk = phi._walks.get(n)
+    if walk is None:
+        core, proc = _automata(phi, [n])
+        table = proc.counts(n)
+        reach = {proc.start: 1} if proc.start in table[n] else {}
+        for k in range(n - 1, -1, -1):
+            following = {}
+            for p, ups in reach.items():
+                moves = proc.transitions[p]
+                for r, moved in ((moves["u"], ups << 1), (moves["d"], ups)):
+                    if r in table[k]:
+                        following[r] = following.get(r, 0) | moved
+            reach = following
+        walk = phi._walks[n] = core, proc, reduce(or_, reach.values(), 0)
+    return walk
+
+
+def _window_layers(core, proc, starts: int, w: str):
     """The layers of the window walk over the core DFA and the procedure
     DFA, t = 0, 1, ... steps in: each maps a (core state, procedure state)
     to its set of window starts, one int.  After t steps the fold stack of
     a pair (r, s), both of length |w|, that folds to w is the window
     w[j:j+t], j the u steps still to come.  Layer 0 holds the start pair
-    at every u count of an accepted s (`u_counts`), and each later layer
-    is one `_step` on every symbol: a u step lowers j and a d step reads
-    w[j+t], so j never exceeds the steps left.  The walk ends at the first
-    empty layer, so layer |w| exists, holding only accepting pairs at
-    j = 0, iff w folds.  O(|w|·|Q|·|P|·|Σ|) big-int operations."""
+    at starts, the u counts of the accepted s (`_walk`'s mask), and each
+    later layer is one `_step` on every symbol: a u step lowers j and a d
+    step reads w[j+t], so j never exceeds the steps left.  The walk ends at
+    the first empty layer, so layer |w| exists, holding only accepting
+    pairs at j = 0, iff w folds.  O(|w|·|Q|·|P|·|Σ|) big-int operations."""
     n = len(w)
-    core_live, proc_live, starts = core.counts(n), proc.counts(n), proc.u_counts(n)
+    core_live, proc_live = core.counts(n), proc.counts(n)
     if core.start not in core_live[n] or not starts:
         return
     layer = {(core.start, proc.start): starts}
@@ -288,19 +313,20 @@ def _reaching(core, proc, layer, t: int, reads, after):
     return kept
 
 
-def _least_pair(core, proc, w: str) -> tuple[str, str] | None:
+def _least_pair(core, proc, starts: int, w: str) -> tuple[str, str] | None:
     """The least (r, s) that folds to w, r accepted by the core DFA and s
-    by the procedure DFA, or None: the least r in core order, then the
-    least s, u before d.  The window walk's layers (`_window_layers`) are
-    kept, and a backward pass (`_reaching`) keeps only the starts that
-    still reach acceptance.  r is then picked one symbol at a time, the
-    least a whose `_step` on a alone reaches a start of the next layer,
-    which shrinks to those starts.  A second pass keeps the starts r's rest
-    takes to acceptance, and s is picked the same way: u if the step on
-    r's symbol without its d moves reaches a start, else d.
+    by the procedure DFA, starts its u-count mask (`_walk`), or None: the
+    least r in core order, then the least s, u before d.  The window walk's
+    layers (`_window_layers`) are kept, and a backward pass (`_reaching`)
+    keeps only the starts that still reach acceptance.  r is then picked
+    one symbol at a time, the least a whose `_step` on a alone reaches a
+    start of the next layer, which shrinks to those starts.  A second pass
+    keeps the starts r's rest takes to acceptance, and s is picked the same
+    way: u if the step on r's symbol without its d moves reaches a start,
+    else d.
     O(|w|·|Q|·|P|·|Σ|) big-int operations and |w| + 1 layers."""
     n = len(w)
-    layers = list(_window_layers(core, proc, w))
+    layers = list(_window_layers(core, proc, starts, w))
     if len(layers) <= n:
         return None
     core_live, proc_live, pos = core.counts(n), proc.counts(n), core.alphabet.positions(w)
@@ -372,23 +398,21 @@ def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
     CF/CF, and a witness search with at most FOLD_WITNESS_PAIRS pairs,
     fold the pairs one by one (`_folds`), stopping at the witness.  Any
     other query walks fold windows over two DFAs (`_window_layers`, which
-    reaches layer |w| iff w folds, and `_least_pair` for a witness), a
-    context-free side entering as the DFA of its slice at |w|, built on
-    the first walk at |w| and kept.  A witness walk whose layers would
-    outgrow the budget the cap sets (`_check_tables`) is refused with
-    ResourceLimit before they are built."""
+    reaches layer |w| iff w folds, and `_least_pair` for a witness), read
+    from `_walk`, which the system keeps per length.  A witness walk whose
+    layers would outgrow the budget the cap sets (`_check_tables`) is
+    refused with ResourceLimit before they are built."""
     if pair_cap < 0:
         raise ValueError("pair_cap must be >= 0")
     n, witness = len(w), None
     pairs = phi.core.alphabet.covers(w) and _has_pairs(phi, n, pair_cap)
     folds = with_witness and pairs <= FOLD_WITNESS_PAIRS
     if pairs and not folds and not (phi.core.context_free and phi.proc.context_free):
-        core, proc = [side.slice_automaton(n) if side.context_free else side.automaton
-                      for side in (phi.core, phi.proc)]
+        walk = _walk(phi, n)
         if not with_witness:
-            return sum(map(bool, _window_layers(core, proc, w))) > n  # every layer is non-empty
-        _check_tables(core, proc, n, pair_cap)
-        witness = _least_pair(core, proc, w)
+            return sum(map(bool, _window_layers(*walk, w))) > n  # every layer is non-empty
+        _check_tables(*walk[:2], n, pair_cap)
+        witness = _least_pair(*walk, w)
     elif pairs:
         witness = next(((r, s) for folded, r, s in _folds(phi, n) if folded == w), None)
     return (witness is not None, witness) if with_witness else witness is not None

@@ -17,9 +17,8 @@ Each automaton keeps one length table, grown on demand: counts[k] maps
 each state from which some length-k word leads to acceptance to the
 number of such words.  Every length query reads it: `has_length` and
 `count_length` look up the start state, and enumeration,
-`smallest_of_length`, `u_counts` (the u counts of a procedure's accepted
-words) and the F-system's walks prune with it, so a slice is counted
-exactly before it is built.  Nothing recurses but the enumeration,
+`smallest_of_length` and the F-system's walks prune with it, so a slice is
+counted exactly before it is built.  Nothing recurses but the enumeration,
 log2(n / 64) deep: the parser, the compile and `is_infinite` use
 explicit stacks or worklists.
 
@@ -32,8 +31,7 @@ language.  No escapes or character classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 
 from .errors import DecompositionError, FoldlangError, RegexSyntaxError
 from .folding import Alphabet
@@ -216,8 +214,7 @@ class Automaton:
     States are 0..n-1; transitions is a list of per-state dicts mapping
     every alphabet symbol to a state.  The language is fixed at
     construction; its one length table (`counts`) is grown on demand, a
-    row for k steps never changing, and `u_counts` keeps one int per
-    length asked."""
+    row for k steps never changing."""
 
     def __init__(self, alphabet: Alphabet, transitions, start: int, accepting):
         self.alphabet = alphabet
@@ -232,7 +229,6 @@ class Automaton:
             for r in t.values():
                 self._preds[r].append(q)
         self._counts: list[dict[int, int]] = [dict.fromkeys(self.accepting, 1)]
-        self._u_counts: dict[int, int] = {}
 
     @property
     def n_states(self) -> int:
@@ -276,26 +272,6 @@ class Automaton:
                     row[q] = get(q, 0) + c
             table.append(row)
         return table
-
-    def u_counts(self, n: int) -> int:
-        """For an automaton over {u, d}: bit j set iff some accepted word of
-        length n has exactly j u steps.  One forward pass, kept per n: after
-        i steps each state maps to the u counts of the words that reach it,
-        pruned to the states that reach acceptance in n - i steps (`counts`)."""
-        if n not in self._u_counts:
-            table = self.counts(n)
-            reach = {self.start: 1} if self.start in table[n] else {}
-            for k in range(n - 1, -1, -1):
-                live, following = table[k], {}
-                for p, ups in reach.items():
-                    moves = self.transitions[p]
-                    if (r := moves["u"]) in live:
-                        following[r] = following[r] | ups << 1 if r in following else ups << 1
-                    if (r := moves["d"]) in live:
-                        following[r] = following[r] | ups if r in following else ups
-                reach = following
-            self._u_counts[n] = reduce(or_, reach.values(), 0)
-        return self._u_counts[n]
 
 
 def compile_ast(ast: RegexAst, alphabet: Alphabet) -> Automaton:

@@ -62,6 +62,14 @@ def test_parse_infers_alphabet():
     assert g.terminals.symbols == ("b", "a")
 
 
+def test_parse_skips_comment_only_and_blank_lines():
+    text = "# balanced a and b\n\n   \nS -> a S b | eps  # nested\n  # done\n"
+    g = parse_grammar(text, AB)
+    assert g.nonterminals == ("S",)
+    assert g.productions == parse_grammar("S -> a S b | eps", AB).productions
+    assert ContextFreeLang(text, AB).enumerate_length(4) == ("aabb",)
+
+
 @pytest.mark.parametrize("bad", [
     "",                       # no productions
     "S -> ",                  # empty alternative

@@ -60,6 +60,12 @@ def test_fold_empty(capsys):
     assert capsys.readouterr().out.strip() == ""
 
 
+def test_fold_trace_of_the_empty_string(capsys):
+    assert run(["fold", '""', '""', "--trace"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("(empty)\n", "")
+
+
 def test_empty_string_token(capsys, tmp_path):
     assert run(["fold", '""', '""']) == 0
     assert capsys.readouterr().out == "\n"

@@ -155,6 +155,18 @@ def test_sort_key_rejects_foreign_symbols():
         Alphabet("ab").sort_key("abc")
 
 
+def test_index_validate_and_fold_step_reject_foreign_symbols():
+    alphabet = Alphabet("ab")
+    assert alphabet.index("b") == 1 and alphabet.validate("ba") == "ba"
+    assert fold_step("b", "a", "u", alphabet=alphabet) == "ab"
+    with pytest.raises(AlphabetError, match="'c' not in alphabet"):
+        alphabet.index("c")
+    with pytest.raises(AlphabetError, match="'c' not in alphabet"):
+        alphabet.validate("abc")
+    with pytest.raises(AlphabetError, match="'c' not in alphabet"):
+        fold_step("ab", "c", "d", alphabet=alphabet)
+
+
 @pytest.mark.parametrize("word", ["abx", "xab", "x", "xx"])
 def test_positions_reject_foreign_symbols(word):
     alphabet = Alphabet("ab")

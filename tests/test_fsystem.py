@@ -1,8 +1,11 @@
 """F-system semantics: enumeration, membership, pairing, spec files."""
 
+import dataclasses
+import gc
 import itertools
 import re
 import string
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,7 +132,7 @@ def test_generated_systems_match_fold_oracle(core_cf, proc_cf, data):
             # the witness is the least pair that folds to w, on either route
             assert witness == least[n].get(w) == fold_route_witness(phi, w), w
             if walks and phi.core.has_length(n) and phi.proc.has_length(n):
-                assert fsystem._least_pair(*walk_automata(phi, n), w) == witness, w
+                assert fsystem._least_pair(*fsystem._walk(phi, n), w) == witness, w
     if not walks:
         return
     # longer words: folds of drawn pairs and random words, on both routes
@@ -139,12 +142,12 @@ def test_generated_systems_match_fold_oracle(core_cf, proc_cf, data):
                 phi.core.count_length(n, 1000) * phi.proc.count_length(n, 1000) > 20_000):
             continue
         least = pairwise_witnesses(phi, n, n)
-        sides = walk_automata(phi, n)
-        r, s = (random_member(auto, n, rng) for auto in sides)
+        walk = fsystem._walk(phi, n)
+        r, s = (random_member(auto, n, rng) for auto in walk[:2])
         for w in [fold(r, s), random_word(rng, AB, n), random_word(rng, AB, n)]:
             witness = least.get(w)
             assert fs_member(phi, w, with_witness=True) == (witness is not None, witness), w
-            assert fsystem._least_pair(*sides, w) == witness == fold_route_witness(phi, w), w
+            assert fsystem._least_pair(*walk, w) == witness == fold_route_witness(phi, w), w
 
 
 def test_membership():
@@ -278,17 +281,16 @@ def tuple_walk_windows(core, proc, w):
     return bool(layer)
 
 
-def walks_to_the_end(sides, w):
-    """Whether the window walk over the two DFAs yields layer |w|: the
-    decision fs_member makes."""
-    return sum(1 for _ in fsystem._window_layers(*sides, w)) == len(w) + 1
+def walks_to_the_end(phi, w):
+    """Whether the window walk at |w| the system keeps yields layer |w|:
+    the decision fs_member makes."""
+    return sum(1 for _ in fsystem._window_layers(*fsystem._walk(phi, len(w)), w)) == len(w) + 1
 
 
 def walk_automata(phi, n):
-    """The DFAs a decision at length n walks: a regular side's own, a
-    context-free side's slice DFA."""
-    return [side.slice_automaton(n) if side.context_free else side.automaton
-            for side in (phi.core, phi.proc)]
+    """The DFAs a walk at length n reads, as the system keeps them: a
+    regular side's own, a context-free side's slice DFA."""
+    return fsystem._walk(phi, n)[:2]
 
 
 def random_member(auto, n, rng):
@@ -335,9 +337,9 @@ def test_bit_parallel_walk_matches_the_tuple_walk(core_cf, proc_cf, data):
             member, k = fold(r, s), rng.randrange(n)
             flipped = member[:k] + ("b" if member[k] == "a" else "a") + member[k + 1:]
             words += [member, flipped]
-            assert walks_to_the_end(sides, member)
+            assert walks_to_the_end(phi, member)
         for w in words:
-            assert walks_to_the_end(sides, w) == tuple_walk_windows(*sides, w), w
+            assert walks_to_the_end(phi, w) == tuple_walk_windows(*sides, w), w
 
 
 def unfold_witness(phi, w):
@@ -372,14 +374,14 @@ def test_walk_witnesses_are_least_on_long_words(core_cf, proc_cf, data):
         if any(side.count_length(n, 2000) > 2000 for side in (phi.core, phi.proc)
                if side is phi.proc or side.context_free):
             continue
-        sides = walk_automata(phi, n)
-        r, s = (random_member(auto, n, rng) for auto in sides)
+        walk = fsystem._walk(phi, n)
+        r, s = (random_member(auto, n, rng) for auto in walk[:2])
         if r is None or s is None:
             continue
         member, k = fold(r, s), rng.randrange(n)
         flipped = member[:k] + ("b" if member[k] == "a" else "a") + member[k + 1:]
         for w in (member, flipped):
-            assert fsystem._least_pair(*sides, w) == unfold_witness(phi, w), w
+            assert fsystem._least_pair(*walk, w) == unfold_witness(phi, w), w
 
 
 #: REG/REG, CF/REG and REG/CF, with a member and a non-member per length.
@@ -431,9 +433,59 @@ def test_slice_dfa_is_built_once_per_side_and_length(monkeypatch):
         fs_member(phi, "ab" * 6, pair_cap=4096)
     with pytest.raises(ResourceLimit):
         fs_member(phi, "ab" * 4, pair_cap=256)
-    assert built == [] and phi.proc._slice_dfas == {}
+    assert built == [] and phi._walks == {}
     assert fs_member(phi, "ab" * 4, pair_cap=4096) is True
-    assert list(phi.proc._slice_dfas) == [8]
+    assert list(phi._walks) == [8]
+
+
+def test_each_system_builds_its_own_slice_dfa_once(monkeypatch):
+    built = []
+    from_words = RegularLang.from_words.__func__
+
+    def counted(cls, words, alphabet):
+        built.append(alphabet.symbols)
+        return from_words(cls, words, alphabet)
+
+    monkeypatch.setattr(RegularLang, "from_words", classmethod(counted))
+    dyck = lang("S -> u S d S | eps", PROC_ALPHABET)
+    systems = [FSystem(lang("(ab)*", AB), dyck), FSystem(lang("(ab|ba)*", AB), dyck)]
+    for _ in range(3):
+        for phi in systems:
+            assert fs_member(phi, fold("abab", "uudd")) is True
+            assert fs_member(phi, "bbbb") is False
+    # the DFA is the system's, not the language's: one per system
+    assert built == [PROC_ALPHABET.symbols] * 2
+    assert systems[0]._walks[4][1] is not systems[1]._walks[4][1]
+
+
+def test_a_refused_or_pairless_decision_keeps_no_walk():
+    phi = system("(a|b)*", "S -> u S d S | eps")
+    with pytest.raises(ResourceLimit):
+        fs_member(phi, "ab" * 4, pair_cap=256)
+    assert fs_member(phi, "abc") is False  # a foreign symbol
+    assert fs_member(phi, "aba") is False  # no Dyck word of odd length
+    assert phi._walks == {}
+
+
+def test_walks_go_with_the_system():
+    core, proc = lang("(ab)*", AB), lang("S -> u S d | eps", PROC_ALPHABET)
+    phi = FSystem(core, proc)
+    assert fs_member(phi, fold("abab", "uudd")) is True
+    slice_dfa = weakref.ref(phi._walks[4][1])
+    del phi
+    gc.collect()
+    # the languages live on, and the slice DFA went with the system
+    assert slice_dfa() is None
+    assert proc.enumerate_length(4) == ("uudd",) and core.member("abab")
+
+
+def test_fsystem_is_frozen_and_hashable():
+    phi = system("(ab)*", "(ud)*")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phi.core = phi.proc
+    same = FSystem(phi.core, phi.proc)
+    assert same == phi and hash(same) == hash(phi)
+    assert fs_member(phi, "abab") is False and len({phi, same}) == 1
 
 
 def test_walk_tables_are_bounded_before_they_grow(monkeypatch):
@@ -445,7 +497,7 @@ def test_walk_tables_are_bounded_before_they_grow(monkeypatch):
     # counts and one int of u counts per length: it answers at the least cap
     # that lets the 401 pairs through
     assert fs_member(phi, w, pair_cap=401) is True
-    assert phi.proc.automaton._u_counts == {400: 1 << 200}
+    assert {n: starts for n, (_, _, starts) in phi._walks.items()} == {400: 1 << 200}
     # 1,000 pairs buy 512,000 bits, not enough for a witness's 401 layers of
     # up to 9 ints of 401 bits; the refusal comes before the first layer
     refusal = ("^witness layers at length 400 would hold up to 1447209 bits: over the budget "
@@ -463,21 +515,20 @@ def test_walk_tables_are_bounded_before_they_grow(monkeypatch):
 @given(data=st.data())
 def test_u_counts_match_the_slice(context_free, data):
     side = data.draw(languages(PROC_ALPHABET, context_free))
+    phi = FSystem(lang("(a|b)*", AB), side)
     for n in range(11):
-        auto = side.slice_automaton(n) if context_free else side.automaton
         expected = 0
         for s in side.enumerate_length(n):
             expected |= 1 << s.count("u")
-        assert auto.u_counts(n) == expected, n
+        assert fsystem._walk(phi, n)[2] == expected, n
 
 
 def test_u_counts_of_empty_slices_and_the_empty_word():
     for text, n, expected in [("[]", 0, 0), ("()", 0, 1), ("()", 3, 0), ("(ud)*", 0, 1),
                               ("(ud)*", 5, 0), ("(ud)*", 6, 1 << 3), ("(u|d)*", 3, 0b1111),
                               ("S -> u S d | eps", 4, 1 << 2), ("S -> u S d | eps", 3, 0)]:
-        side = lang(text, PROC_ALPHABET)
-        auto = side.slice_automaton(n) if side.context_free else side.automaton
-        assert auto.u_counts(n) == expected, (text, n)
+        phi = FSystem(lang("(a|b)*", AB), lang(text, PROC_ALPHABET))
+        assert fsystem._walk(phi, n)[2] == expected, (text, n)
 
 
 #: The six systems of demos/pumping_pipelines.py, one or more per pairing.
@@ -504,7 +555,7 @@ def test_long_family_strings_are_members_on_both_paths(core, proc):
             # a witness search folds these few pairs, so its walk is called directly
             pairs = fsystem._has_pairs(phi, len(w), fsystem.DEFAULT_PAIR_CAP)
             assert pairs <= fsystem.FOLD_WITNESS_PAIRS, i
-            assert fsystem._least_pair(*walk_automata(phi, len(w)), w) == (r, s), i
+            assert fsystem._least_pair(*fsystem._walk(phi, len(w)), w) == (r, s), i
 
 
 def test_membership_with_cf_components():
@@ -733,6 +784,8 @@ def test_parse_spec_repeated_cfg_lines():
     ("alphabet = a b\ncore.kind = dfa\nproc.kind = regex\nproc.regex = d*",
      "kind"),
     ("what is this", "key = value"),
+    ("alphabet = a b\ncore.kind = cfg\nproc.kind = regex\nproc.regex = d*",
+     "^missing key core.cfg$"),
 ])
 def test_spec_errors(text, fragment):
     with pytest.raises(SpecFileError, match=fragment):

@@ -8,9 +8,10 @@ from foldlang import (PumpFamily, auto_plan, fold, lemma1_plan,
                       lemma2_plan_cf_reg, lemma2_plan_reg_cf, lemma3_plan,
                       plan_to_family, refute_unary_family, verify_family,
                       verify_plan)
-from foldlang.errors import FiniteComponent, FoldlangError
+from foldlang.errors import CaseValidationFailed, FiniteComponent, FoldlangError
 from foldlang.pumping import (LEMMA_CF_CF, LEMMA_CF_REG, LEMMA_REG_CF,
-                              LEMMA_REG_REG, materialize, is_prime, PREDICATES)
+                              LEMMA_REG_REG, Block, _search_plan, materialize,
+                              is_prime, PREDICATES)
 
 from conftest import system
 
@@ -268,6 +269,24 @@ def test_checking_nothing_does_not_pass():
     plan = lemma1_plan(phi)
     assert not verify_plan(plan, phi, range(0)).passed
     assert not verify_family(plan_to_family(plan), phi, range(0)).passed
+
+
+def test_family_check_defaults_to_i_from_0_to_4():
+    phi = system(*BB_FRONT)
+    family = plan_to_family(lemma1_plan(phi))
+    report = verify_family(family, phi)
+    assert report.passed
+    assert [(c.index, c.string) for c in report.checks] == [
+        (i, family.assemble(i)) for i in range(5)]
+
+
+def test_strands_that_grow_unequally_fail_the_search():
+    # a b^j a grows one symbol per step, u (dd)^j u two: no window tiles both
+    r_blocks = [Block("a", 0), Block("b", 1), Block("a", 0)]
+    s_blocks = [Block("u", 0), Block("dd", 1), Block("u", 0)]
+    refusal = "^L1: j0=3: procedure windows != strand formula at j=3$"
+    with pytest.raises(CaseValidationFailed, match=refusal):
+        _search_plan(LEMMA_REG_REG, None, r_blocks, s_blocks)
 
 
 def test_mismatched_growth_rates_still_plan():

@@ -390,3 +390,13 @@ def test_dense_slice_is_met_in_the_middle():
     got = lang.enumerate_length(16)
     assert got == tuple("".join(p) for p in itertools.product("ud", repeat=16))
     assert RegularLang("(ud)*", UD).enumerate_length(252) == ("ud" * 126,)
+
+
+def test_literal_outside_the_alphabet_matches_nothing():
+    # an AST is not parsed, so it may name a symbol the alphabet lacks
+    never = RegularLang.from_ast(Concat((Literal("a"), Literal("c"))), AB)
+    assert not never.is_infinite()
+    assert [never.count_length(n) for n in range(4)] == [0, 0, 0, 0]
+    only_a = RegularLang.from_ast(Union((Literal("c"), Literal("a"))), AB)
+    assert [only_a.enumerate_length(n) for n in range(4)] == [(), ("a",), (), ()]
+    assert only_a.member("a") and not only_a.member("c")
