@@ -116,8 +116,7 @@ def _dispatch(args) -> int:
 
     if args.command == "enum":
         phi = load_spec(args.spec)
-        for w in fs_enumerate(phi, args.max_len):
-            print(w)
+        sys.stdout.writelines(f"{w}\n" for w in fs_enumerate(phi, args.max_len))
         return 0
 
     if args.command == "member":

@@ -6,8 +6,8 @@ pair.  Each component is seen through the `Language` protocol, which the
 regular and the context-free engine both implement.
 
 Each side is counted once, regular first, against what the pair cap
-leaves, before any slice is built.  With a regular side, membership and
-enumeration walk the product of two DFAs forward.  Membership moves the
+leaves, before any slice is built.  Membership with a regular side, and
+enumeration, walk the product of two DFAs forward.  Membership moves the
 fold windows of w, one int of window starts per product state, all at
 once per symbol, by one window step (`_step`), and a witness (the least
 pair) is read back off the same walk with its inverse (`_reaching`).
@@ -16,13 +16,13 @@ stacks, up to the last length with pairs.  A context-free side enters as
 the minimal DFA of the slices the pair check has already built to count
 them, and the frozen F-system keeps what a window walk at n reads (`_walk`).
 
-A decision with a regular side always walks.  A witness search reads
-its route off the pair count: up to FOLD_WITNESS_PAIRS pairs are folded
-(`_folds`), the measured crossover, and more are walked.  A walk keeps
-no table but the two DFAs' `counts`; only a witness's window layers are
-checked against a budget set by the pair cap before they grow.  CF/CF,
-and enumeration with witnesses, fold every equal-length pair,
-exponential but exact.
+A decision with a regular side always walks.  A witness search, and
+CF/CF enumeration over all its lengths, read their route off the pair
+count: up to FOLD_WITNESS_PAIRS pairs are folded (`_folds`), and more
+are walked.  A walk keeps no table but the two DFAs' `counts`; only a
+witness's window layers are checked against a budget set by the pair cap
+before they grow.  CF/CF membership, and enumeration with witnesses,
+fold every equal-length pair, exponential but exact.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ TABLE_BITS_PER_PAIR = 512
 #: walks fold windows.  The measured crossover of the two routes' worst
 #: cases on cold tables, as the CLI and family verification meet them: a
 #: non-member folding every pair against a member walking every layer
-#: (BENCH_20.json, route_crossover).
+#: (BENCH_20.json, route_crossover).  It also caps the pairs, summed over
+#: the lengths, that CF/CF enumeration folds (BENCH_24.json, cf_cf_route).
 FOLD_WITNESS_PAIRS = 64
 
 #: Search ceiling above min_len when looking for an equal-length pair.
@@ -148,30 +149,28 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
     ResourceLimit is raised at the first length with more than pair_cap
     candidate pairs; ValueError when max_len or pair_cap is negative.
 
-    When one side is regular, the members are built by following the
-    output over the product of two DFAs (`_follow_product`), so the work
-    grows with L(Phi) rather than with |core slice| x |procedure slice|.
-    The walk ends at the last length with pairs, not at max_len.  A
-    context-free side enters as the minimal DFA (`from_words`) of its
-    slices at the lengths with pairs, which the count has already built.
-    CF/CF, and witnesses (the least pair is part of the contract), take
-    every fold from `_folds` instead, keeping the first pair per fold.
+    The members are built by following the output over the product of two
+    DFAs (`_follow_product`), so the work grows with L(Phi) rather than
+    with |core slice| x |procedure slice|.  The walk ends at the last
+    length with pairs, not at max_len.  A context-free side enters as the
+    minimal DFA (`from_words`) of its slices at the lengths with pairs,
+    which the count has already built.  Witnesses (the least pair is part
+    of the contract), and CF/CF with at most FOLD_WITNESS_PAIRS pairs in
+    all, take every fold from `_folds` instead, the first pair per fold.
     """
     if min(max_len, pair_cap) < 0:
         raise ValueError("max_len and pair_cap must be >= 0")
-    lengths = [n for n in range(max_len + 1) if _has_pairs(phi, n, pair_cap)]
-    key = phi.core.alphabet.sort_key
-    if not with_witnesses and not (phi.core.context_free and phi.proc.context_free):
-        walk = _follow_product(*_automata(phi, lengths), max(lengths, default=0))
+    pairs = {n: count for n in range(max_len + 1) if (count := _has_pairs(phi, n, pair_cap))}
+    key, cf_cf = phi.core.alphabet.sort_key, phi.core.context_free and phi.proc.context_free
+    if not (with_witnesses or (cf_cf and sum(pairs.values()) <= FOLD_WITNESS_PAIRS)):
+        walk = _follow_product(*_automata(phi, pairs), max(pairs, default=0))
         return [w for words in walk for w in sorted(words, key=key)]
     witnesses: dict[str, tuple[str, str]] = {}
-    for n in lengths:
+    for n in pairs:
         for w, r, s in _folds(phi, n):
             if w not in witnesses:
                 witnesses[w] = (r, s)
-    if with_witnesses:
-        return witnesses
-    return sorted(witnesses, key=lambda w: (len(w), key(w)))
+    return witnesses if with_witnesses else sorted(witnesses, key=lambda w: (len(w), key(w)))
 
 
 def _automata(phi: FSystem, lengths) -> list:
@@ -219,16 +218,19 @@ def _follow_product(core, proc, max_len: int) -> list[set[str]]:
     return by_length
 
 
-def _walk(phi: FSystem, n: int):
+def _walk(phi: FSystem, n: int, pair_cap: int | None = None):
     """(core DFA, procedure DFA, u-count mask) for a window walk at n, a
     length `_has_pairs` let through: built on the first walk at n and kept
-    with the system.  The DFAs are `_automata`'s.  Bit j of the mask is set
-    iff an accepted s of length n has exactly j u steps: one forward pass,
-    each procedure state mapping to the u counts of the prefixes that reach
-    it, pruned by `counts` to the states that still reach acceptance."""
+    with the system.  The DFAs are `_automata`'s, checked by `_check_tables`
+    first for a witness's walk (given its pair_cap).  Bit j of the mask is
+    set iff an accepted s of length n has exactly j u steps: one forward
+    pass, each procedure state mapping to the u counts of the prefixes that
+    reach it, pruned by `counts` to the states that still reach acceptance."""
     walk = phi._walks.get(n)
+    core, proc = walk[:2] if walk else _automata(phi, [n])
+    if pair_cap is not None:
+        _check_tables(core, proc, n, pair_cap)
     if walk is None:
-        core, proc = _automata(phi, [n])
         table = proc.counts(n)
         reach = {proc.start: 1} if proc.start in table[n] else {}
         for k in range(n - 1, -1, -1):
@@ -401,18 +403,16 @@ def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
     reaches layer |w| iff w folds, and `_least_pair` for a witness), read
     from `_walk`, which the system keeps per length.  A witness walk whose
     layers would outgrow the budget the cap sets (`_check_tables`) is
-    refused with ResourceLimit before they are built."""
+    refused with ResourceLimit before they, or its u-count mask, are built."""
     if pair_cap < 0:
         raise ValueError("pair_cap must be >= 0")
     n, witness = len(w), None
     pairs = phi.core.alphabet.covers(w) and _has_pairs(phi, n, pair_cap)
     folds = with_witness and pairs <= FOLD_WITNESS_PAIRS
     if pairs and not folds and not (phi.core.context_free and phi.proc.context_free):
-        walk = _walk(phi, n)
         if not with_witness:
-            return sum(map(bool, _window_layers(*walk, w))) > n  # every layer is non-empty
-        _check_tables(*walk[:2], n, pair_cap)
-        witness = _least_pair(*walk, w)
+            return sum(map(bool, _window_layers(*_walk(phi, n), w))) > n  # no layer is empty
+        witness = _least_pair(*_walk(phi, n, pair_cap), w)
     elif pairs:
         witness = next(((r, s) for folded, r, s in _folds(phi, n) if folded == w), None)
     return (witness is not None, witness) if with_witness else witness is not None
@@ -435,7 +435,7 @@ def finite_language_system(words) -> FSystem:
     """F-system whose language is exactly the given finite word set:
     Phi = (union of the words, d*), the core their minimal DFA (`from_words`)."""
     words = set(words)
-    alphabet = Alphabet(sorted({ch for w in words for ch in w}) or ["a"])
+    alphabet = Alphabet(sorted(set().union(*words)) or ["a"])
     core = RegularLang.from_words(words, alphabet)
     proc = RegularLang("d*", PROC_ALPHABET)
     return FSystem(core, proc)

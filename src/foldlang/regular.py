@@ -212,13 +212,13 @@ class Automaton:
     """Deterministic, complete automaton over an Alphabet.
 
     States are 0..n-1; transitions is a list of per-state dicts mapping
-    every alphabet symbol to a state.  The language is fixed at
-    construction; its one length table (`counts`) is grown on demand, a
-    row for k steps never changing."""
+    every alphabet symbol to a state, kept and not copied.  The language is
+    fixed at construction; its one length table (`counts`) is grown on
+    demand, a row for k steps never changing."""
 
     def __init__(self, alphabet: Alphabet, transitions, start: int, accepting):
         self.alphabet = alphabet
-        self.transitions = tuple(dict(t) for t in transitions)
+        self.transitions = tuple(transitions)
         self.start = start
         self.accepting = frozenset(accepting)
         symbols = set(alphabet.symbols)
@@ -372,7 +372,8 @@ class RegularLang:
         path = [blank[:]]
         keys = sorted({alphabet.sort_key(w) for w in words})  # chr(symbol index)
         for word, after in zip(keys, keys[1:] + [""]):
-            path += [blank[:] for _ in word[len(path) - 1:]]
+            while len(path) <= len(word):
+                path.append(blank[:])
             path[-1][0] = True
             common, stop = 0, min(len(word), len(after))
             while common < stop and word[common] == after[common]:

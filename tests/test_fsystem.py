@@ -8,7 +8,7 @@ import string
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from foldlang import (PROC_ALPHABET, Alphabet, ContextFreeLang, FSystem, RegularLang,
                       auto_plan, equal_length_pair, finite_language_system, fold,
@@ -78,6 +78,79 @@ def test_gathered_enumeration_matches_pairwise_folds(core, proc, monkeypatch):
     # a slice at n = 0 holds the empty string at most: nothing to gather
     monkeypatch.setattr(fsystem, "itemgetter", no_gather)
     assert fs_enumerate(phi, 0, with_witnesses=True) == pairwise_witnesses(phi, 0)
+
+
+def by_length_then_lex(words):
+    return sorted(words, key=lambda w: (len(w), AB.sort_key(w)))
+
+
+def summed_pairs(phi, max_len):
+    return sum(phi.core.count_length(n) * phi.proc.count_length(n) for n in range(max_len + 1))
+
+
+def cf_cf_listing(phi, max_len, walks):
+    """fs_enumerate(phi, max_len) with the other route's first call made to
+    fail: a walk builds no gather, and a fold builds no slice DFA."""
+    def refuse(*args):
+        raise AssertionError("the other route ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        if walks:
+            patch.setattr(fsystem, "itemgetter", refuse)
+        else:
+            patch.setattr(RegularLang, "from_words", classmethod(refuse))
+        return fs_enumerate(phi, max_len)
+
+
+def test_dyck_dyck_enumeration_matches_the_folds_on_both_routes():
+    phi = system("S -> a S b S | eps", "S -> u S d S | eps")
+    assert [summed_pairs(phi, n) for n in (6, 8, 10, 12)] == [31, 227, 1991, 19415]
+    for max_len in range(6, 13):
+        listing = cf_cf_listing(phi, max_len, walks=max_len >= 8)
+        assert listing == by_length_then_lex(pairwise_witnesses(phi, max_len)), max_len
+    assert len(listing) == 302
+
+
+@pytest.mark.parametrize("core,proc,walks", [
+    ("S -> A A A\nA -> a | b", "S -> U U U\nU -> u | d", False),
+    ("S -> A A A | a\nA -> a | b", "S -> U U U | u\nU -> u | d", True),
+], ids=["64 pairs", "65 pairs"])
+def test_cf_cf_enumeration_folds_up_to_64_pairs_and_walks_above(core, proc, walks):
+    # 8 strings of length 3 on each side, and in the second system one more pair at n = 1
+    phi = system(core, proc)
+    assert summed_pairs(phi, 3) == fsystem.FOLD_WITNESS_PAIRS + walks
+    assert cf_cf_listing(phi, 3, walks) == by_length_then_lex(pairwise_witnesses(phi, 3))
+    # witnesses always fold, whatever the pair count
+    assert list(fs_enumerate(phi, 3, with_witnesses=True).items()) == list(
+        pairwise_witnesses(phi, 3).items())
+
+
+#: Context-free languages with slices that grow with n, over symbols x, y.
+DENSE_GRAMMARS = ["D -> x D y D | eps", "D -> x D | y D | eps", "D -> x D x | y D y | x | y | eps",
+                  "D -> x D y | y D x | D D | eps", "D -> x D y | x D | eps"]
+
+
+def dense_or_small_grammars(alphabet):
+    """A small grammar, or its union with a dense one, so that generated
+    CF/CF systems fall on both sides of the enumeration crossover."""
+    x, y = alphabet.symbols
+    dense = st.sampled_from([None, *DENSE_GRAMMARS]).map(
+        lambda text: text and f"T -> D | S\n{text.replace('x', x).replace('y', y)}\n")
+    return st.tuples(dense, small_grammars(alphabet.symbols)).map(
+        lambda texts: ContextFreeLang((texts[0] or "") + texts[1], alphabet))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_cf_cf_enumeration_matches_the_folds_on_both_routes(data):
+    phi = FSystem(data.draw(dense_or_small_grammars(AB)),
+                  data.draw(dense_or_small_grammars(PROC_ALPHABET)))
+    max_len = data.draw(st.integers(4, 7))
+    pairs = summed_pairs(phi, max_len)
+    walks = pairs > fsystem.FOLD_WITNESS_PAIRS
+    event("walks" if walks else "folds")
+    assert cf_cf_listing(phi, max_len, walks) == by_length_then_lex(
+        pairwise_witnesses(phi, max_len)), pairs
 
 
 def languages(alphabet, context_free):
@@ -506,6 +579,13 @@ def test_walk_tables_are_bounded_before_they_grow(monkeypatch):
         patch.setattr(fsystem, "_window_layers", None)
         with pytest.raises(ResourceLimit, match=refusal):
             fs_member(phi, w, pair_cap=1000, with_witness=True)
+        # on a system with no walk kept, the refusal also comes before the
+        # u-count mask's pass, and keeps no walk
+        fresh = system("a*b*", "(ud)*")
+        patch.setattr(fsystem, "reduce", None)
+        with pytest.raises(ResourceLimit, match=refusal):
+            fs_member(fresh, w, pair_cap=1000, with_witness=True)
+        assert fresh._walks == {}
     ok, (r, s) = fs_member(phi, w, pair_cap=3000, with_witness=True)
     assert ok and fold(r, s) == w and phi.core.member(r) and phi.proc.member(s)
 

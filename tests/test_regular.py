@@ -209,6 +209,16 @@ def test_incomplete_automaton_is_rejected():
         Automaton(AB, [{"a": 0}], 0, [0])
 
 
+@pytest.mark.parametrize("rows", [[{"a": 0, "b": 1}, {"b": 1}], [{"a": 0, "b": 0, "c": 0}]],
+                         ids=["a later row misses a symbol", "a row has a foreign symbol"])
+def test_every_row_is_checked_though_none_is_copied(rows):
+    with pytest.raises(FoldlangError, match="complete"):
+        Automaton(AB, rows, 0, [0])
+    rows = [{"a": 1, "b": 0}, {"a": 1, "b": 1}]
+    auto = Automaton(AB, rows, 0, [1])
+    assert all(kept is row for kept, row in zip(auto.transitions, rows))
+
+
 def test_is_infinite():
     assert RegularLang("a*", AB).is_infinite()
     assert not RegularLang("a|ab|abb", AB).is_infinite()
