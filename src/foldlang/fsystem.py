@@ -5,24 +5,26 @@ language over {u, d}; its language is every fold of an equal-length
 pair.  Each component is seen through the `Language` protocol, which the
 regular and the context-free engine both implement.
 
-Each side is counted once, regular first, against what the pair cap
-leaves, before any slice is built.  Membership with a regular side, and
-enumeration, walk the product of two DFAs forward.  Membership moves the
-fold windows of w, one int of window starts per product state, all at
-once per symbol, by one window step (`_step`), and a witness (the least
-pair) is read back off the same walk with its inverse (`_reaching`).
-Enumeration (a fold grows its output from the middle out) moves the fold
-stacks, up to the last length with pairs.  A context-free side enters as
-the minimal DFA of the slices the pair check has already built to count
-them, and the frozen F-system keeps what a window walk at n reads (`_walk`).
+A route counts only what it builds, before it builds it, against the
+pair cap: a context-free slice it enumerates, the pairs it folds, and the
+fold stacks and length masks of an enumeration walk.  A regular side is
+asked only `has_length`, from its liveness table.  Membership with a
+regular side, and enumeration, walk the product of two DFAs forward.
+Membership moves the fold windows of w, one int of window starts per
+product state, all at once per symbol, by one window step (`_step`), and
+a witness (the least pair) is read back off the same walk with its
+inverse (`_reaching`).  Enumeration (a fold grows its output from the
+middle out) moves the fold stacks, up to the last length with pairs.  A
+context-free side enters as the minimal DFA of the slices already counted,
+and the frozen F-system keeps what a window walk at n reads (`_walk`).
 
-A decision with a regular side always walks.  A witness search, and
-CF/CF enumeration over all its lengths, read their route off the pair
-count: up to FOLD_WITNESS_PAIRS pairs are folded (`_folds`), and more
-are walked.  A walk keeps no table but the two DFAs' `counts`; only a
+A decision with a regular side always walks.  A witness search reads its
+route off the exact pair count: up to FOLD_WITNESS_PAIRS pairs are folded
+(`_folds`), and more are walked; CF/CF enumeration folds up to
+FOLD_CF_CF_PAIRS pairs over all its lengths, and walks more.  A
 witness's window layers are checked against a budget set by the pair cap
-before they grow.  CF/CF membership, and enumeration with witnesses,
-fold every equal-length pair, exponential but exact.
+before they grow.  CF/CF membership, and enumeration with witnesses, fold
+every equal-length pair, exponential but exact.
 """
 
 from __future__ import annotations
@@ -37,21 +39,29 @@ from .errors import AlphabetError, NoEqualLengthPair, ResourceLimit, SpecFileErr
 from .folding import PROC_ALPHABET, Alphabet, fold, fold_permutation
 from .regular import RegDecomposition, RegularLang
 
-#: Per-length candidate-pair cap, checked from the slice counts.
+#: Per-length cap on what a route builds: the strings of a context-free
+#: slice, the pairs a fold route folds, or the fold stacks one layer of an
+#: enumeration walk makes.
 DEFAULT_PAIR_CAP = 500_000
 
-#: Bits a witness's window layers may hold per candidate pair of the pair
-#: cap: about what one pair costs the fold route at the cap, a short string
-#: object (32 MB at the default cap).
+#: Bits a witness's window layers, or an enumeration walk's length masks,
+#: may hold per candidate pair of the pair cap: about what one pair costs
+#: the fold route at the cap, a short string object (32 MB at the default
+#: cap).
 TABLE_BITS_PER_PAIR = 512
 
 #: A witness search with at most this many pairs folds them; with more it
 #: walks fold windows.  The measured crossover of the two routes' worst
 #: cases on cold tables, as the CLI and family verification meet them: a
 #: non-member folding every pair against a member walking every layer
-#: (BENCH_20.json, route_crossover).  It also caps the pairs, summed over
-#: the lengths, that CF/CF enumeration folds (BENCH_24.json, cf_cf_route).
+#: (BENCH_20.json, route_crossover).
 FOLD_WITNESS_PAIRS = 64
+
+#: CF/CF enumeration without witnesses folds its pairs while their sum over
+#: the lengths with pairs is at most this, and walks the product of its two
+#: slice DFAs above it: the measured crossover of the two routes on cold
+#: systems (BENCH_25.json, cf_cf_route).
+FOLD_CF_CF_PAIRS = 1024
 
 #: Search ceiling above min_len when looking for an equal-length pair.
 DEFAULT_LENGTH_CEILING = 512
@@ -116,24 +126,29 @@ class FSystem:
             raise AlphabetError("procedure language must use alphabet {u, d}")
 
 
-def _has_pairs(phi: FSystem, n: int, pair_cap: int) -> int:
-    """The number of candidate pairs at length n: 0 when a slice is empty,
-    read from the length tables.  Only then is each side counted, regular
-    first (a table lookup), against pair_cap // the counts before it.  A
-    side over that budget makes a product over the cap: ResourceLimit, and
-    a later side is not counted."""
-    if not (phi.core.has_length(n) and phi.proc.has_length(n)):
-        return 0
+def _count_slices(phi: FSystem, n: int, pair_cap: int, folds: bool) -> int:
+    """Count the slices at n, a length where both sides have members, that
+    a route builds, before it builds them.  A route that folds pairs builds
+    both: each side is counted, regular first, against pair_cap // the
+    counts before it, so a side over its budget makes a product over the
+    cap.  A walk builds only a context-free side's slice, counted against
+    pair_cap itself, and asks a regular side nothing more.  ResourceLimit at
+    the first side over its budget, and a later side is not counted.
+    Returns the product of the counts taken, 1 when none is."""
     sides = (("core", phi.core), ("procedure", phi.proc))
     budget, before, pairs = pair_cap, "", 1
     if phi.core.context_free and not phi.proc.context_free:
         sides = sides[::-1]
     for name, side in sides:
+        if not (folds or side.context_free):
+            continue
         count = side.count_length(n, budget)
         if count > budget:
             raise ResourceLimit(f"{name} slice at length {n} has more than {budget} "
                                 f"strings{before}: over the cap of {pair_cap} candidate pairs")
-        budget, before, pairs = budget // count, f", against {count} {name} strings", pairs * count
+        if folds:
+            budget, before = budget // count, f", against {count} {name} strings"
+        pairs *= count
     return pairs
 
 
@@ -145,28 +160,35 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
     least witnessing (r, s) pair: the least r in core order, then the
     least s in procedure order.
 
-    Both slices are counted at every length first (`_has_pairs`), and
-    ResourceLimit is raised at the first length with more than pair_cap
-    candidate pairs; ValueError when max_len or pair_cap is negative.
-
-    The members are built by following the output over the product of two
-    DFAs (`_follow_product`), so the work grows with L(Phi) rather than
-    with |core slice| x |procedure slice|.  The walk ends at the last
-    length with pairs, not at max_len.  A context-free side enters as the
-    minimal DFA (`from_words`) of its slices at the lengths with pairs,
-    which the count has already built.  Witnesses (the least pair is part
-    of the contract), and CF/CF with at most FOLD_WITNESS_PAIRS pairs in
-    all, take every fold from `_folds` instead, the first pair per fold.
+    The lengths with pairs are read first, both sides' length sets ANDed
+    over 0..max_len.  The members are then built by following the output
+    over the product of two DFAs (`_follow_product`), so the work grows
+    with L(Phi) rather than with |core slice| x |procedure slice|.  The
+    walk ends at the last length with pairs, not at max_len.  A
+    context-free side enters as the minimal DFA (`from_words`) of its
+    slices at those lengths, each counted against pair_cap before it is
+    built (`_count_slices`); the walk checks its own fold stacks and
+    length masks.  Witnesses (the least pair is part of the contract), and
+    CF/CF with at most FOLD_CF_CF_PAIRS pairs in all, take every fold from
+    `_folds` instead, the first pair per fold, after the pairs at each
+    length are checked against pair_cap.  ResourceLimit at the first count
+    over the cap; ValueError when max_len or pair_cap is negative.
     """
     if min(max_len, pair_cap) < 0:
         raise ValueError("max_len and pair_cap must be >= 0")
-    pairs = {n: count for n in range(max_len + 1) if (count := _has_pairs(phi, n, pair_cap))}
+    lengths = [n for n in range(max_len + 1) if phi.core.has_length(n) and phi.proc.has_length(n)]
+    pairs = [_count_slices(phi, n, pair_cap, with_witnesses) for n in lengths]
     key, cf_cf = phi.core.alphabet.sort_key, phi.core.context_free and phi.proc.context_free
-    if not (with_witnesses or (cf_cf and sum(pairs.values()) <= FOLD_WITNESS_PAIRS)):
-        walk = _follow_product(*_automata(phi, pairs), max(pairs, default=0))
-        return [w for words in walk for w in sorted(words, key=key)]
+    if not (with_witnesses or cf_cf and sum(pairs) <= FOLD_CF_CF_PAIRS):
+        if not lengths:
+            return []
+        walk = _follow_product(*_automata(phi, lengths), lengths[-1], pair_cap)
+        symbols = phi.core.alphabet.symbols
+        order = None if tuple(sorted(symbols)) == symbols else key  # a str sorts as it is
+        return [w for words in walk for w in sorted(words, key=order)]
     witnesses: dict[str, tuple[str, str]] = {}
-    for n in pairs:
+    for n in lengths:
+        _count_slices(phi, n, pair_cap, folds=True)  # CF/CF counted each side alone
         for w, r, s in _folds(phi, n):
             if w not in witnesses:
                 witnesses[w] = (r, s)
@@ -182,7 +204,7 @@ def _automata(phi: FSystem, lengths) -> list:
             if side.context_free else side.automaton for side in (phi.core, phi.proc)]
 
 
-def _follow_product(core, proc, max_len: int) -> list[set[str]]:
+def _follow_product(core, proc, max_len: int, pair_cap: int) -> list[set[str]]:
     """The folds of each length 0..max_len, r accepted by the core DFA
     and s by the procedure DFA.
 
@@ -191,10 +213,19 @@ def _follow_product(core, proc, max_len: int) -> list[set[str]]:
     reach it: reading a on u makes a + stack, on d stack + a.  A product
     state is dropped when no accepting pair is reachable from it in the
     steps left; the two sides step independently, so that is a common
-    set bit of their length masks, read off `counts` once per call."""
+    set bit of their length masks, one int per state read off `live` once
+    per call.  ResourceLimit before the masks would hold more than
+    TABLE_BITS_PER_PAIR bits per candidate pair of the cap, and before a
+    layer makes more than pair_cap fold stacks, counted as they are made,
+    before equal stacks of a product state merge (`_too_many_stacks`)."""
+    bits = (core.n_states + proc.n_states) * (max_len + 1)
+    if bits > pair_cap * TABLE_BITS_PER_PAIR:
+        raise ResourceLimit(f"length masks up to length {max_len} would hold {bits} bits: over "
+                            f"the budget of {TABLE_BITS_PER_PAIR} bits per candidate pair of "
+                            f"the cap of {pair_cap}")
     live_core, live_proc = masks = [[0] * auto.n_states for auto in (core, proc)]
     for auto, live in zip((core, proc), masks):
-        for k, row in enumerate(auto.counts(max_len)[:max_len + 1]):
+        for k, row in enumerate(auto.live(max_len)[:max_len + 1]):
             for q in row:
                 live[q] |= 1 << k
     layer = {(core.start, proc.start): {""}}
@@ -205,33 +236,44 @@ def _follow_product(core, proc, max_len: int) -> list[set[str]]:
             if q in core.accepting and p in proc.accepting]))
         left = (1 << (max_len - i)) - 1  # step counts 0..max_len-i-1
         following: dict[tuple[int, int], set[str]] = {}
+        made = 0
         for (q, p), stacks in layer.items():
             up, down = proc.transitions[p]["u"], proc.transitions[p]["d"]
+            up_left, down_left = live_proc[up] & left, live_proc[down] & left
             for a, r in core.transitions[q].items():
-                if live_core[r] & live_proc[up] & left:
-                    following.setdefault((r, up), set()).update(
-                        [a + stack for stack in stacks])
-                if live_core[r] & live_proc[down] & left:
-                    following.setdefault((r, down), set()).update(
-                        [stack + a for stack in stacks])
+                if live_core[r] & up_left:
+                    made += len(stacks)
+                    if made > pair_cap:
+                        _too_many_stacks(i + 1, pair_cap)
+                    following.setdefault((r, up), set()).update([a + stack for stack in stacks])
+                if live_core[r] & down_left:
+                    made += len(stacks)
+                    if made > pair_cap:
+                        _too_many_stacks(i + 1, pair_cap)
+                    following.setdefault((r, down), set()).update([stack + a for stack in stacks])
         layer = following
     return by_length
 
 
+def _too_many_stacks(n: int, pair_cap: int):
+    raise ResourceLimit(f"the walk would make more than {pair_cap} fold stacks of length {n}: "
+                        f"over the cap of {pair_cap} per layer")
+
+
 def _walk(phi: FSystem, n: int, pair_cap: int | None = None):
     """(core DFA, procedure DFA, u-count mask) for a window walk at n, a
-    length `_has_pairs` let through: built on the first walk at n and kept
-    with the system.  The DFAs are `_automata`'s, checked by `_check_tables`
+    length with pairs: built on the first walk at n and kept with the
+    system.  The DFAs are `_automata`'s, checked by `_check_tables`
     first for a witness's walk (given its pair_cap).  Bit j of the mask is
     set iff an accepted s of length n has exactly j u steps: one forward
     pass, each procedure state mapping to the u counts of the prefixes that
-    reach it, pruned by `counts` to the states that still reach acceptance."""
+    reach it, pruned by `live` to the states that still reach acceptance."""
     walk = phi._walks.get(n)
     core, proc = walk[:2] if walk else _automata(phi, [n])
     if pair_cap is not None:
         _check_tables(core, proc, n, pair_cap)
     if walk is None:
-        table = proc.counts(n)
+        table = proc.live(n)
         reach = {proc.start: 1} if proc.start in table[n] else {}
         for k in range(n - 1, -1, -1):
             following = {}
@@ -257,7 +299,7 @@ def _window_layers(core, proc, starts: int, w: str):
     the first empty layer, so layer |w| exists, holding only accepting
     pairs at j = 0, iff w folds.  O(|w|·|Q|·|P|·|Σ|) big-int operations."""
     n = len(w)
-    core_live, proc_live = core.counts(n), proc.counts(n)
+    core_live, proc_live = core.live(n), proc.live(n)
     if core.start not in core_live[n] or not starts:
         return
     layer = {(core.start, proc.start): starts}
@@ -276,7 +318,7 @@ def _step(core, proc, layer, t: int, reads, core_alive, proc_alive, up_only: boo
     set iff w[i] == a (the shift-and of Baeza-Yates and Gonnet, CACM
     1992).  A u step reads w[j-1] and moves start j to j - 1; a d step
     reads w[j+t] and keeps j.  A target is kept only if its core state is
-    in core_alive and its procedure state in proc_alive, rows of `counts`:
+    in core_alive and its procedure state in proc_alive, rows of `live`:
     acceptance in the steps left.  up_only leaves out the d moves."""
     following: dict[tuple[int, int], int] = {}
     for (q, p), starts in layer.items():
@@ -331,7 +373,7 @@ def _least_pair(core, proc, starts: int, w: str) -> tuple[str, str] | None:
     layers = list(_window_layers(core, proc, starts, w))
     if len(layers) <= n:
         return None
-    core_live, proc_live, pos = core.counts(n), proc.counts(n), core.alphabet.positions(w)
+    core_live, proc_live, pos = core.live(n), proc.live(n), core.alphabet.positions(w)
 
     def kept(t, a, up_only=False):
         # the starts of layer t + 1 that step t reaches from layer t, reading a
@@ -390,31 +432,37 @@ def _folds(phi: FSystem, n: int):
 
 def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
               with_witness: bool = False):
-    """Decide w in L(Phi) once the slices at |w| pass the pair check
-    (`_has_pairs`); ValueError when pair_cap < 0.  A fold permutes r, so a
-    w with a symbol outside the core alphabet is refused before any slice.
+    """Decide w in L(Phi); ValueError when pair_cap < 0.  A fold permutes r,
+    so a w with a symbol outside the core alphabet is refused before any
+    slice, and so is a length where a side has no member.
 
     With with_witness=True, returns (ok, (r, s) or None), the least pair
     that folds to w: the least r in core order, then the least s.
 
-    CF/CF, and a witness search with at most FOLD_WITNESS_PAIRS pairs,
-    fold the pairs one by one (`_folds`), stopping at the witness.  Any
+    CF/CF, and a witness search with at most FOLD_WITNESS_PAIRS pairs by
+    exact count, fold the pairs one by one (`_folds`), stopping at the
+    witness, once the pairs are within pair_cap (`_count_slices`).  Any
     other query walks fold windows over two DFAs (`_window_layers`, which
     reaches layer |w| iff w folds, and `_least_pair` for a witness), read
-    from `_walk`, which the system keeps per length.  A witness walk whose
-    layers would outgrow the budget the cap sets (`_check_tables`) is
-    refused with ResourceLimit before they, or its u-count mask, are built."""
+    from `_walk`, which the system keeps per length: a context-free side's
+    slice is counted against pair_cap first, and a regular side is asked
+    only `has_length`, so a REG/REG decision is never refused.  A witness
+    walk whose layers would outgrow the budget the cap sets
+    (`_check_tables`) is refused with ResourceLimit before they, or its
+    u-count mask, are built."""
     if pair_cap < 0:
         raise ValueError("pair_cap must be >= 0")
     n, witness = len(w), None
-    pairs = phi.core.alphabet.covers(w) and _has_pairs(phi, n, pair_cap)
-    folds = with_witness and pairs <= FOLD_WITNESS_PAIRS
-    if pairs and not folds and not (phi.core.context_free and phi.proc.context_free):
-        if not with_witness:
+    if phi.core.alphabet.covers(w) and phi.core.has_length(n) and phi.proc.has_length(n):
+        cf_cf = phi.core.context_free and phi.proc.context_free
+        _count_slices(phi, n, pair_cap, cf_cf)
+        if not (cf_cf or with_witness):
             return sum(map(bool, _window_layers(*_walk(phi, n), w))) > n  # no layer is empty
-        witness = _least_pair(*_walk(phi, n, pair_cap), w)
-    elif pairs:
-        witness = next(((r, s) for folded, r, s in _folds(phi, n) if folded == w), None)
+        if cf_cf or phi.core.count_length(n) * phi.proc.count_length(n) <= FOLD_WITNESS_PAIRS:
+            _count_slices(phi, n, pair_cap, folds=True)
+            witness = next(((r, s) for folded, r, s in _folds(phi, n) if folded == w), None)
+        else:
+            witness = _least_pair(*_walk(phi, n, pair_cap), w)
     return (witness is not None, witness) if with_witness else witness is not None
 
 

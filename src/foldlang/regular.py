@@ -13,14 +13,17 @@ finished branch into a register of the states already built, so the work
 after the sort is linear in the words' total length.  The pumping
 decomposition is taken at the first repeated state along the run.
 
-Each automaton keeps one length table, grown on demand: counts[k] maps
-each state from which some length-k word leads to acceptance to the
-number of such words.  Every length query reads it: `has_length` and
-`count_length` look up the start state, and enumeration,
-`smallest_of_length` and the F-system's walks prune with it, so a slice is
-counted exactly before it is built.  Nothing recurses but the enumeration,
-log2(n / 64) deep: the parser, the compile and `is_infinite` use
-explicit stacks or worklists.
+Each automaton keeps one liveness table, grown on demand: row k is the
+frozenset of the states from which some length-k word leads to
+acceptance.  Every length query reads it: `has_length` looks up the start
+state, and enumeration, `smallest_of_length` and the F-system's walks
+prune with it, so a slice is known non-empty before it is built.  Row
+k + 1 is the predecessors of row k and depends on it alone, so each
+distinct row is built once and equal rows are one object: a periodic
+table costs one list slot per length.  Exact word counts are a second
+table, built only when `count_length` asks.  Nothing recurses but the
+enumeration, log2(n / 64) deep: the parser, the compile and `is_infinite`
+use explicit stacks or worklists.
 
 Concrete regex syntax: single-character literals, `|` union (lowest
 precedence), juxtaposition for concatenation, postfix `*` `+` `?`,
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import DecompositionError, FoldlangError, RegexSyntaxError
 from .folding import Alphabet
@@ -213,8 +217,9 @@ class Automaton:
 
     States are 0..n-1; transitions is a list of per-state dicts mapping
     every alphabet symbol to a state, kept and not copied.  The language is
-    fixed at construction; its one length table (`counts`) is grown on
-    demand, a row for k steps never changing."""
+    fixed at construction.  Its liveness table (`live`) and its exact
+    count table (`counts`, for `count_length` only) are grown on demand, a
+    row for k steps never changing."""
 
     def __init__(self, alphabet: Alphabet, transitions, start: int, accepting):
         self.alphabet = alphabet
@@ -228,7 +233,10 @@ class Automaton:
                 raise FoldlangError("automaton must be complete")
             for r in t.values():
                 self._preds[r].append(q)
-        self._counts: list[dict[int, int]] = [dict.fromkeys(self.accepting, 1)]
+        self._live = [self.accepting]
+        self._rows = {self.accepting: self.accepting}  # each distinct row, as kept
+        self._after: dict[frozenset[int], frozenset[int]] = {}  # a kept row to the next
+        self._counts: list[dict[int, int]] | None = None
 
     @property
     def n_states(self) -> int:
@@ -258,11 +266,29 @@ class Automaton:
         live = self._live_states()
         return has_cycle({q: set(self.transitions[q].values()) & live for q in live})
 
+    def live(self, n: int) -> list[frozenset[int]]:
+        """The liveness table grown to cover n: live[k] is the frozenset of
+        the states from which some length-k word leads to acceptance.  A
+        row is the predecessors of the row before it, built once per
+        distinct row: equal rows are one object, and each kept row maps to
+        the row after it."""
+        table, after = self._live, self._after
+        while len(table) <= n:
+            row = table[-1]
+            following = after.get(row)
+            if following is None:
+                following = frozenset([q for r in row for q in self._preds[r]])
+                following = after[row] = self._rows.setdefault(following, following)
+            table.append(following)
+        return table
+
     def counts(self, n: int) -> list[dict[int, int]]:
-        """The length table grown to cover n: counts[k] maps each state from
-        which some length-k word leads to acceptance to the number of such
-        words.  A row sums the next row over the predecessor edges, so two
-        symbols into the same state count twice."""
+        """The exact count table grown to cover n: counts[k] maps each
+        state from which some length-k word leads to acceptance to the
+        number of such words.  A row sums the next row over the predecessor
+        edges, so two symbols into the same state count twice."""
+        if self._counts is None:
+            self._counts = [dict.fromkeys(self.accepting, 1)]
         table, preds = self._counts, self._preds
         while len(table) <= n:
             row: dict[int, int] = {}
@@ -361,26 +387,33 @@ class RegularLang:
     @classmethod
     def from_words(cls, words, alphabet: Alphabet) -> "RegularLang":
         """The words' finite language, no regex: its minimal DFA, built in
-        one pass over the distinct words in sort-key order (Daciuk et al.,
-        Computational Linguistics 2000).  The states along the current word
-        are open, each a list [final, child per symbol].  Where the next
-        word branches off, the open states it leaves are replaced, deepest
-        first, by their registered equals, keyed on that list with 0 the
-        dead state.  The states are then numbered breadth-first."""
+        one pass over the distinct words in sorted order (Daciuk et al.,
+        Computational Linguistics 2000).  A word's key is its symbols'
+        indices as bytes, one each, or four (UTF-32-BE) from 256 symbols on,
+        so no symbol starts with byte 255.  Ended by that byte, a key shares
+        with the next the bytes above the highest set bit of their XOR, as
+        ints padded to one length.  The states along the current key are
+        open, each a list [final, child per symbol]; those the next key
+        leaves are replaced, deepest first, by their registered equals (0
+        the dead state), each stored in its parent at the child index the
+        key's bytes give.  The states are then numbered breadth-first."""
+        width, codec = (1, "latin-1") if len(alphabet) < 256 else (4, "utf-32-be")
+        keys = sorted(set(map(str.encode, map(alphabet.sort_key, words), repeat(codec))))
+        ended = [*map(bytes.__add__, keys, repeat(b"\xff")), b"\xff"]  # a lone end byte last
+        sizes, values = [*map(len, ended)], [*map(int.from_bytes, ended, repeat("big"))]
+        commons = [(a + b - ((x << 8 * b ^ y << 8 * a).bit_length() + 7) // 8) // width
+                   for a, b, x, y in zip(sizes, sizes[1:], values, values[1:])]
         blank = [False] + [0] * len(alphabet)
         register = {tuple(blank): 0}
         path = [blank[:]]
-        keys = sorted({alphabet.sort_key(w) for w in words})  # chr(symbol index)
-        for word, after in zip(keys, keys[1:] + [""]):
-            while len(path) <= len(word):
+        for key, common in zip(keys, commons):
+            index = key if width == 1 else [*map(ord, key.decode(codec))]
+            while len(path) <= len(index):
                 path.append(blank[:])
             path[-1][0] = True
-            common, stop = 0, min(len(word), len(after))
-            while common < stop and word[common] == after[common]:
-                common += 1
             while len(path) > common + 1:
                 state = tuple(path.pop())
-                path[-1][1 + ord(word[len(path) - 1])] = register.setdefault(state, len(register))
+                path[-1][1 + index[len(path) - 1]] = register.setdefault(state, len(register))
         root = register.setdefault(tuple(path[0]), len(register))
         states = list(register)  # by id, as ids follow insertion order
         order, rows = breadth_first(root, lambda q: states[q][1:])
@@ -402,8 +435,8 @@ class RegularLang:
         if n < 0:
             raise ValueError("n must be >= 0")
         auto = self.automaton
-        counts = auto.counts(n)
-        if auto.start not in counts[n]:
+        live = auto.live(n)
+        if auto.start not in live[n]:
             return ()
         transitions, symbols = auto.transitions, self.alphabet.symbols
 
@@ -420,13 +453,13 @@ class RegularLang:
                         for q in origins}
             found = {q: [("", q)] for q in origins}
             for k in range(left - 1, left - steps - 1, -1):
-                live = counts[k]
+                alive = live[k]
                 for origin, words in found.items():
                     extended = []
                     for x, q in words:
                         row = transitions[q]
                         for s in symbols:
-                            if row[s] in live:
+                            if row[s] in alive:
                                 extended.append((x + s, row[s]))
                     found[origin] = extended
             return found
@@ -438,27 +471,27 @@ class RegularLang:
         return tuple([p + x for p, q in prefixes for x in suffixes[q]])
 
     def count_length(self, n: int, budget: int | None = None) -> int:
-        """Exact, from the length table, whatever the budget; no string is
-        built."""
+        """Exact, from the count table, whatever the budget; no string is
+        built, and no count row when the liveness table says 0."""
         if budget is not None and budget < 0:
             raise ValueError("budget must be >= 0")
-        return self.automaton.counts(n)[n].get(self.automaton.start, 0) if n >= 0 else 0
+        return self.automaton.counts(n)[n][self.automaton.start] if self.has_length(n) else 0
 
     def has_length(self, n: int) -> bool:
-        return n >= 0 and self.automaton.start in self.automaton.counts(n)[n]
+        return n >= 0 and self.automaton.start in self.automaton.live(n)[n]
 
     def smallest_of_length(self, n: int) -> str | None:
         """Greedy walk: the smallest symbol whose target still reaches an
         accepting state in the remaining number of steps."""
-        auto = self.automaton
-        counts = auto.counts(n)
-        if n < 0 or auto.start not in counts[n]:
+        if not self.has_length(n):
             return None
+        auto = self.automaton
+        live = auto.live(n)
         q = auto.start
         word = []
         for remaining in range(n - 1, -1, -1):
             q, s = next((auto.transitions[q][s], s) for s in self.alphabet
-                        if auto.transitions[q][s] in counts[remaining])
+                        if auto.transitions[q][s] in live[remaining])
             word.append(s)
         return "".join(word)
 

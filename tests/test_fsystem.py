@@ -12,8 +12,9 @@ from hypothesis import event, given, settings, strategies as st
 
 from foldlang import (PROC_ALPHABET, Alphabet, ContextFreeLang, FSystem, RegularLang,
                       auto_plan, equal_length_pair, finite_language_system, fold,
-                      fold_permutation, fs_enumerate, fs_member, fsystem, parse_spec,
-                      plan_to_family, load_spec)
+                      fold_permutation, fs_enumerate, fs_member, fsystem, parse_regex,
+                      parse_spec, plan_to_family, load_spec)
+from foldlang.regular import Union
 from foldlang.errors import (AlphabetError, NoEqualLengthPair, ResourceLimit,
                              SpecFileError)
 
@@ -31,6 +32,9 @@ def test_bb_front_enumeration():
 def test_enumeration_is_sorted_by_length_then_lex():
     phi = system("(a|b)(a|b)", "(u|d)(u|d)")
     assert fs_enumerate(phi, 2) == ["aa", "ab", "ba", "bb"]
+    # lex is the declared symbol order, not the code points'
+    phi = system("(a|b)(a|b)|b", "(u|d)(u|d)|d", Alphabet("ba"))
+    assert fs_enumerate(phi, 2) == ["b", "bb", "ba", "ab", "aa"]
 
 
 def test_enumeration_with_witnesses():
@@ -105,24 +109,26 @@ def cf_cf_listing(phi, max_len, walks):
 def test_dyck_dyck_enumeration_matches_the_folds_on_both_routes():
     phi = system("S -> a S b S | eps", "S -> u S d S | eps")
     assert [summed_pairs(phi, n) for n in (6, 8, 10, 12)] == [31, 227, 1991, 19415]
+    # 227 pairs in all up to 9 are folded, 1,991 from 10 on are walked
     for max_len in range(6, 13):
-        listing = cf_cf_listing(phi, max_len, walks=max_len >= 8)
+        listing = cf_cf_listing(phi, max_len, walks=max_len >= 10)
         assert listing == by_length_then_lex(pairwise_witnesses(phi, max_len)), max_len
     assert len(listing) == 302
 
 
 @pytest.mark.parametrize("core,proc,walks", [
-    ("S -> A A A\nA -> a | b", "S -> U U U\nU -> u | d", False),
-    ("S -> A A A | a\nA -> a | b", "S -> U U U | u\nU -> u | d", True),
-], ids=["64 pairs", "65 pairs"])
-def test_cf_cf_enumeration_folds_up_to_64_pairs_and_walks_above(core, proc, walks):
-    # 8 strings of length 3 on each side, and in the second system one more pair at n = 1
+    ("S -> A A A A A\nA -> a | b", "S -> U U U U U\nU -> u | d", False),
+    ("S -> A A A A A | a\nA -> a | b", "S -> U U U U U | u\nU -> u | d", True),
+], ids=["1024 pairs", "1025 pairs"])
+def test_cf_cf_enumeration_folds_up_to_its_crossover_and_walks_above(core, proc, walks):
+    # 32 strings of length 5 on each side, and in the second system one more pair at n = 1
     phi = system(core, proc)
-    assert summed_pairs(phi, 3) == fsystem.FOLD_WITNESS_PAIRS + walks
-    assert cf_cf_listing(phi, 3, walks) == by_length_then_lex(pairwise_witnesses(phi, 3))
+    assert fsystem.FOLD_CF_CF_PAIRS == 1024
+    assert summed_pairs(phi, 5) == fsystem.FOLD_CF_CF_PAIRS + walks
+    assert cf_cf_listing(phi, 5, walks) == by_length_then_lex(pairwise_witnesses(phi, 5))
     # witnesses always fold, whatever the pair count
-    assert list(fs_enumerate(phi, 3, with_witnesses=True).items()) == list(
-        pairwise_witnesses(phi, 3).items())
+    assert list(fs_enumerate(phi, 5, with_witnesses=True).items()) == list(
+        pairwise_witnesses(phi, 5).items())
 
 
 #: Context-free languages with slices that grow with n, over symbols x, y.
@@ -147,10 +153,26 @@ def test_generated_cf_cf_enumeration_matches_the_folds_on_both_routes(data):
                   data.draw(dense_or_small_grammars(PROC_ALPHABET)))
     max_len = data.draw(st.integers(4, 7))
     pairs = summed_pairs(phi, max_len)
-    walks = pairs > fsystem.FOLD_WITNESS_PAIRS
+    walks = pairs > fsystem.FOLD_CF_CF_PAIRS
     event("walks" if walks else "folds")
     assert cf_cf_listing(phi, max_len, walks) == by_length_then_lex(
         pairwise_witnesses(phi, max_len)), pairs
+
+
+#: Regular languages with slices that grow with n, over symbols x, y.
+DENSE_REGEXES = ["(x|y)*", "(xy|y)*", "x*y*", "(x|yy)*x?"]
+
+
+def dense_or_small_languages(alphabet, context_free):
+    """A small language, or its union with a dense one, so that the routes
+    build amounts of more than a few strings."""
+    if context_free:
+        return dense_or_small_grammars(alphabet)
+    x, y = alphabet.symbols
+    dense = st.sampled_from([None, *DENSE_REGEXES]).map(
+        lambda text: text and parse_regex(text.replace("x", x).replace("y", y), alphabet))
+    return st.tuples(dense, regex_asts(alphabet.symbols)).map(lambda asts: RegularLang.from_ast(
+        Union(asts) if asts[0] else asts[1], alphabet))
 
 
 def languages(alphabet, context_free):
@@ -499,15 +521,16 @@ def test_slice_dfa_is_built_once_per_side_and_length(monkeypatch):
             fs_member(phi, words[k % len(words)])
     assert sorted(built) == sorted({(side.alphabet.symbols, len(w)) for w in words
                                     for side in (systems[0].core, systems[1].proc)})
-    # a decision refused by the cap keeps no DFA, and builds none
+    # a decision refused by the cap keeps no DFA, and builds none: the cap
+    # bounds the Dyck slice the walk builds, 132 strings at 12 and 14 at 8
     built.clear()
     phi = system("(a|b)*", "S -> u S d S | eps")
     with pytest.raises(ResourceLimit):
-        fs_member(phi, "ab" * 6, pair_cap=4096)
+        fs_member(phi, "ab" * 6, pair_cap=131)
     with pytest.raises(ResourceLimit):
-        fs_member(phi, "ab" * 4, pair_cap=256)
+        fs_member(phi, "ab" * 4, pair_cap=13)
     assert built == [] and phi._walks == {}
-    assert fs_member(phi, "ab" * 4, pair_cap=4096) is True
+    assert fs_member(phi, "ab" * 4, pair_cap=14) is True
     assert list(phi._walks) == [8]
 
 
@@ -534,7 +557,7 @@ def test_each_system_builds_its_own_slice_dfa_once(monkeypatch):
 def test_a_refused_or_pairless_decision_keeps_no_walk():
     phi = system("(a|b)*", "S -> u S d S | eps")
     with pytest.raises(ResourceLimit):
-        fs_member(phi, "ab" * 4, pair_cap=256)
+        fs_member(phi, "ab" * 4, pair_cap=13)  # 14 Dyck words at 8
     assert fs_member(phi, "abc") is False  # a foreign symbol
     assert fs_member(phi, "aba") is False  # no Dyck word of odd length
     assert phi._walks == {}
@@ -633,7 +656,7 @@ def test_long_family_strings_are_members_on_both_paths(core, proc):
         assert ok and fold(r, s) == w, i
         if not (phi.core.context_free and phi.proc.context_free):
             # a witness search folds these few pairs, so its walk is called directly
-            pairs = fsystem._has_pairs(phi, len(w), fsystem.DEFAULT_PAIR_CAP)
+            pairs = phi.core.count_length(len(w)) * phi.proc.count_length(len(w))
             assert pairs <= fsystem.FOLD_WITNESS_PAIRS, i
             assert fsystem._least_pair(*fsystem._walk(phi, len(w)), w) == (r, s), i
 
@@ -675,22 +698,40 @@ def test_pair_cap_is_checked_from_counts(monkeypatch):
 
     monkeypatch.setattr(RegularLang, "enumerate_length", build_slice)
     phi = system("(a|b)*", "(u|d)*")
-    with pytest.raises(ResourceLimit, match="^core slice at length 20 has more than 500000 "
-                                            "strings: over the cap of 500000 candidate pairs$"):
-        fs_member(phi, "ab" * 10)
-    # the procedure's budget is the cap over the core's count: 100 // 16
-    with pytest.raises(ResourceLimit, match="^procedure slice at length 4 has more than 6 "
-                                            "strings, against 16 core strings: over the cap "):
+    # a decision with regular sides builds neither slice, so no cap refuses it
+    assert fs_member(phi, "ab" * 10) is True
+    assert fs_member(phi, "ab" * 10, pair_cap=0) is True
+    # enumeration walks, and the cap bounds the fold stacks a layer makes:
+    # four moves from each of the 2^(k-1) stacks of length k - 1
+    with pytest.raises(ResourceLimit, match="^the walk would make more than 100 fold stacks of "
+                                            "length 6: over the cap of 100 per layer$"):
         fs_enumerate(phi, 9, pair_cap=100)
-    # 26^3100 has 4,387 digits: a refusal shows budgets and kept counts, never a count over the cap
+    assert len(fs_enumerate(phi, 9, pair_cap=1024)) == 1023
+    with pytest.raises(ResourceLimit, match=" of length 9: "):
+        fs_enumerate(phi, 9, pair_cap=1023)
+    # 26^3100 has 4,387 digits: no route counts it, and a refusal shows only
+    # the cap, never a count over it
     letters = Alphabet(string.ascii_lowercase)
     phi = system(f"({'|'.join(letters)})*", "(u|d)*", letters)
-    with pytest.raises(ResourceLimit, match="^core slice at length 3100 has more than 500000 "
-                                            "strings: ") as refusal:
-        fs_member(phi, "a" * 3100)
+    assert fs_member(phi, "a" * 3100) is True
+    with pytest.raises(ResourceLimit, match="^the walk would make more than 500000 fold stacks "
+                                            "of length 4: ") as refusal:
+        fs_enumerate(phi, 3100)
     assert max(map(int, re.findall(r"\d+", str(refusal.value)))) <= 500000
     # an empty core slice has no pairs, whatever the procedure's size
     assert fs_member(system("(aa)*", "(u|d)*"), "a" * 21, pair_cap=0) is False
+
+
+def test_enumeration_walk_is_refused_before_its_masks_grow(monkeypatch):
+    # (a^1000)* / (u|d)* has pairs at 0 and 1000 up to 1999, so the walk
+    # would keep 1001 bits for each of 1001 + 1 states
+    phi = system("(" + "a" * 1000 + ")*", "(u|d)*")
+    monkeypatch.setattr(RegularLang, "count_length", None)  # no side is counted
+    with pytest.raises(ResourceLimit, match="^length masks up to length 1000 would hold "
+                                            "1003002 bits: over the budget of 512 bits per "
+                                            "candidate pair of the cap of 1000$"):
+        fs_enumerate(phi, 1999, pair_cap=1000)
+    assert fs_enumerate(phi, 1999, pair_cap=1959) == ["", "a" * 1000]
 
 
 def test_negative_pair_cap_is_refused_before_any_slice(monkeypatch):
@@ -724,20 +765,92 @@ def refused(call):
     return False
 
 
+def walk_stacks(phi, lengths):
+    """The most fold stacks one layer of the enumeration walk to the last
+    of lengths makes, by brute force: at each i >= 1, the distinct
+    (core state, procedure state, fold(x, y), a, d) over the length-i
+    prefixes x + a of a core member and y + d of a procedure member of one
+    length in i..last, the states those of the walk's DFAs after x and y.
+    Each is one stack made from fold(x, y) by one move."""
+    core, proc = fsystem._automata(phi, lengths)
+    last = lengths[-1]
+    prefixes = [[{w[:i] for w in map("".join, itertools.product(symbols, repeat=m))
+                  if side.member(w) for i in range(m + 1)} for m in range(last + 1)]
+                for side, symbols in ((phi.core, AB.symbols), (phi.proc, "ud"))]
+    most = 0
+    for i in range(1, last + 1):
+        made = set()
+        for x in map("".join, itertools.product(AB.symbols, repeat=i)):
+            for y in map("".join, itertools.product("ud", repeat=i)):
+                if any(x in prefixes[0][m] and y in prefixes[1][m] for m in range(i, last + 1)):
+                    made.add((core.run(x[:-1])[-1], proc.run(y[:-1])[-1],
+                              fold(x[:-1], y[:-1]), x[-1], y[-1]))
+        most = max(most, len(made))
+    return most
+
+
+def route_amounts(phi, n):
+    """What the route of each call at n builds, the amount the pair cap
+    must cover, from brute-force slice sizes: for fs_member(phi, "a" * n)
+    and its witness search, then fs_enumerate(phi, n) and its witness
+    listing.  A walk builds the context-free slices; fold routes build
+    every pair; window layers and length masks cost one pair per
+    TABLE_BITS_PER_PAIR bits."""
+    sizes = [(slice_size(phi.core, AB.symbols, m), slice_size(phi.proc, "ud", m))
+             for m in range(n + 1)]
+    lengths = [m for m in range(n + 1) if all(sizes[m])]
+    if not lengths:
+        return 0, 0, 0, 0
+    cf_cf = phi.core.context_free and phi.proc.context_free
+    products = {m: sizes[m][0] * sizes[m][1] for m in lengths}
+    built = {m: max([size for size, side in zip(sizes[m], (phi.core, phi.proc))
+                     if side.context_free], default=0) for m in lengths}
+
+    def pairs_for(bits):
+        return -(-bits // fsystem.TABLE_BITS_PER_PAIR)
+
+    member = witness = 0
+    if n in lengths:
+        member = products[n] if cf_cf else built[n]
+        witness = products[n]
+        if not cf_cf and products[n] > fsystem.FOLD_WITNESS_PAIRS:
+            core, proc = fsystem._automata(phi, [n])
+            witness = max(built[n], pairs_for((n + 1) ** 2 * core.n_states * proc.n_states))
+    core, proc = fsystem._automata(phi, lengths)
+    walk = max(*built.values(), walk_stacks(phi, lengths),
+               pairs_for((core.n_states + proc.n_states) * (lengths[-1] + 1)))
+    folds = cf_cf and sum(products.values()) <= fsystem.FOLD_CF_CF_PAIRS
+    return member, witness, max(products.values()) if folds else walk, max(products.values())
+
+
 @pytest.mark.parametrize("core_cf,proc_cf", itertools.product((False, True), repeat=2),
                          ids=["REG/REG", "REG/CF", "CF/REG", "CF/CF"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_pair_cap_refuses_exactly_the_products_over_it(core_cf, proc_cf, data):
-    phi = FSystem(data.draw(languages(AB, core_cf)),
-                  data.draw(languages(PROC_ALPHABET, proc_cf)))
+    """The product a call must keep within the cap is what its route builds
+    (`route_amounts`): refused exactly above it, and otherwise the answer of
+    the fold oracle."""
+    phi = FSystem(data.draw(dense_or_small_languages(AB, core_cf)),
+                  data.draw(dense_or_small_languages(PROC_ALPHABET, proc_cf)))
     n = data.draw(st.integers(0, 5))
-    products = [slice_size(phi.core, AB.symbols, m) * slice_size(phi.proc, "ud", m)
-                for m in range(n + 1)]
-    p = products[n]
-    for cap in {0, max(p - 1, 0), p, p + 1}:
-        assert refused(lambda: fs_member(phi, "a" * n, pair_cap=cap)) == (p > cap)
-        assert refused(lambda: fs_enumerate(phi, n, pair_cap=cap)) == (max(products) > cap)
+    w = "a" * n
+    least = [fold_oracle(phi, m) for m in range(n + 1)]
+    calls = [(lambda cap: fs_member(phi, w, pair_cap=cap), w in least[n]),
+             (lambda cap: fs_member(phi, w, pair_cap=cap, with_witness=True),
+              (w in least[n], least[n].get(w))),
+             (lambda cap: fs_enumerate(phi, n, pair_cap=cap),
+              [v for m in range(n + 1) for v in sorted(least[m], key=AB.sort_key)]),
+             (lambda cap: list(fs_enumerate(phi, n, pair_cap=cap, with_witnesses=True).items()),
+              [(v, least[len(v)][v]) for v in pairwise_witnesses(phi, n)])]
+    for (call, expected), amount in zip(calls, route_amounts(phi, n)):
+        for cap in {0, max(amount - 1, 0), amount, amount + 1, 10**9}:
+            try:
+                got = call(cap)
+            except ResourceLimit:
+                assert amount > cap, (amount, cap)
+            else:
+                assert amount <= cap and got == expected, (amount, cap)
 
 
 def test_pair_check_reads_both_length_tables_first(monkeypatch):
@@ -763,10 +876,17 @@ def test_context_free_count_stops_at_its_budget():
     # procedure was never counted
     assert phi.core._strings == memo
     assert phi.proc._strings == {}
-    # CF/REG: the regular side goes first, and the core's budget is 1000 // 256
+    # CF/REG: the walk builds the core's slices alone, each counted against
+    # the cap itself, and asks the regular side only has_length; the Dyck
+    # slice at 8 holds 14 strings
+    with pytest.raises(ResourceLimit, match="^core slice at length 8 has more than 13 strings: "
+                                            "over the cap of 13 candidate pairs$"):
+        fs_enumerate(system(dyck, "(u|d)*"), 8, pair_cap=13)
+    # listing witnesses folds every pair: the regular side goes first, and the
+    # core's budget is 1000 // 256
     with pytest.raises(ResourceLimit, match="^core slice at length 8 has more than 3 strings, "
                                             "against 256 procedure strings: over the cap "):
-        fs_enumerate(system(dyck, "(u|d)*"), 8, pair_cap=1000)
+        fs_enumerate(system(dyck, "(u|d)*"), 8, pair_cap=1000, with_witnesses=True)
     # under budget the count is exact, and over it one past the budget
     lang = ContextFreeLang(dyck, AB)
     assert lang.count_length(12, 132) == 132
@@ -784,10 +904,25 @@ def test_regular_side_over_the_cap_is_refused_before_the_other_is_counted(monkey
     def no_count(self, n, budget=None):
         raise AssertionError(f"context-free slice {n} counted")
 
-    monkeypatch.setattr(ContextFreeLang, "count_length", no_count)
-    with pytest.raises(ResourceLimit, match="^core slice at length 10 has more than 1000 "
-                                            "strings: over the cap of 1000 candidate pairs$"):
-        fs_member(system("(a|b)*", "S -> u S d S | eps"), "ab" * 5, pair_cap=1000)
+    # a route that folds every pair counts the regular side first: (a|b)^10
+    # has 1,024 strings, over the cap, and the Dyck side is never counted
+    phi = system("(a|b)" * 10, "S -> u S d S | eps")
+    with monkeypatch.context() as patch:
+        patch.setattr(ContextFreeLang, "count_length", no_count)
+        with pytest.raises(ResourceLimit, match="^core slice at length 10 has more than 1000 "
+                                                "strings: over the cap of 1000 candidate pairs$"):
+            fs_enumerate(phi, 10, pair_cap=1000, with_witnesses=True)
+
+    def no_regular_count(self, n, budget=None):
+        raise AssertionError(f"regular slice {n} counted")
+
+    # a decision walks: the regular side is asked only has_length, and the
+    # cap bounds the 42 Dyck words at 10 alone
+    monkeypatch.setattr(RegularLang, "count_length", no_regular_count)
+    assert fs_member(phi, fold("ab" * 5, "ud" * 5), pair_cap=42) is True
+    with pytest.raises(ResourceLimit, match="^procedure slice at length 10 has more than 41 "
+                                            "strings: over the cap of 41 candidate pairs$"):
+        fs_member(system("(a|b)" * 10, "S -> u S d S | eps"), "ab" * 5, pair_cap=41)
 
 
 def test_foreign_symbol_is_refused_before_any_slice():

@@ -338,9 +338,80 @@ def test_from_words_is_linear_in_the_total_length():
     assert phi.core.member("b" * 20000) and not phi.core.member("a" * 19999)
 
 
+#: 300 symbols, past the one byte per symbol of a narrow alphabet's keys.
+WIDE = Alphabet([chr(0x100 + k) for k in range(300)])
+
+
+@pytest.mark.parametrize("alphabet", [WIDE, Alphabet(WIDE.symbols[::-1]), Alphabet(WIDE.symbols[:255]),
+                                      Alphabet(WIDE.symbols[:256])],
+                         ids=["declared", "reversed", "255 symbols", "256 symbols"])
+def test_from_words_matches_the_reference_past_256_symbols(alphabet):
+    rng = random.Random(25)
+    symbols = alphabet.symbols
+    low, high = symbols[0], symbols[-1]  # the first and the last index
+    for _ in range(40):
+        common = [random_word(rng, alphabet, rng.randint(0, 3)) for _ in range(4)]
+        words = {prefix + random_word(rng, alphabet, rng.randint(0, 5))
+                 for _ in range(rng.randint(1, 60)) for prefix in [rng.choice(common)]}
+        words |= {"", low, low * 2, low + high, high, high + low * 3}
+        assert same_automaton(RegularLang.from_words(words, alphabet).automaton,
+                              naive_from_words(words, alphabet))
+
+
+@pytest.mark.parametrize("alphabet", [AB, BA, WIDE], ids=["ab", "ba", "wide"])
+def test_from_words_with_keys_that_prefix_their_successors(alphabet):
+    # each key a prefix of the next, padded with the symbol whose index is 0
+    first, second = alphabet.symbols[:2]
+    for words in (["", first, first * 2, first + second], [first * k for k in range(6)],
+                  ["", first, first + second, first + second + first, second]):
+        lang = RegularLang.from_words(words, alphabet)
+        assert same_automaton(lang.automaton, naive_from_words(words, alphabet))
+        assert [lang.count_length(n) for n in range(7)] == [
+            sum(len(w) == n for w in set(words)) for n in range(7)]
+
+
 def test_from_words_rejects_foreign_symbols():
     with pytest.raises(AlphabetError, match="'c'"):
         RegularLang.from_words(["ab", "abc"], AB)
+
+
+@st.composite
+def regular_languages(draw):
+    """A generated regex or word set's language, over a or a, b in declared
+    order or reversed."""
+    if draw(st.booleans()):
+        words, alphabet = draw(word_sets())
+        return RegularLang.from_words(words, alphabet)
+    alphabet = draw(st.sampled_from([AB, BA]))
+    return RegularLang.from_ast(draw(regex_asts("ab")), alphabet)
+
+
+@settings(max_examples=300, deadline=None)
+@given(regular_languages())
+def test_liveness_rows_are_the_support_of_the_counts(lang):
+    auto = lang.automaton
+    live = auto.live(20)
+    assert len(live) == 21
+    counts = auto.counts(20)
+    for k in range(21):
+        assert live[k] == counts[k].keys(), k
+    # a row depends on the row before alone, so equal rows are one object
+    kept = {}
+    for row in live:
+        assert kept.setdefault(row, row) is row
+    # and the exact counts stay those of the language, word by word
+    for n in range(7):
+        members = sum(map(lang.member, brute_words(lang.alphabet, n)))
+        assert lang.count_length(n) == members, n
+        assert lang.has_length(n) == (members > 0), n
+
+
+def test_periodic_liveness_keeps_one_object_per_distinct_row():
+    # the rows repeat with period 6 from the start: 10,001 slots, 6 sets
+    auto = RegularLang("(ab)*|(aaa)*", AB).automaton
+    live = auto.live(10_000)
+    assert len({id(row) for row in live}) == len(set(live)) == 6
+    assert [0 in live[k] for k in range(7)] == [True, False, True, True, True, False, True]
 
 
 def naive_enumerate_length(lang, n):
