@@ -8,14 +8,14 @@ CYK, enumeration is per length, the pumping decomposition is taken from a
 deterministic parse tree, and no DFA is built: an F-system builds a slice's.
 
 Each normal form grammar holds one length table (`LengthTable`): bit l of
-`bits[A]` is set iff A derives a string of length l, `rev[A]` holds the
-same lengths mirrored, and `at[l]` lists the nonterminals that derive
-length l. It is built bottom-up, one length at a time, and grown on
-demand. The splits s of a span of length l under A -> B C, those where B
-derives length s and C derives length l - s, are the set bits of one AND
-of `bits[B]` with `rev[C]` shifted; under a lifted terminal (`T_a` derives
-only length 1) that leaves one split per span instead of l - 1. CYK visits
-only the cells (A, l) in `at[l]`, and length queries are bit tests.
+`bits[A]` is set iff A derives length l, `rev[A]` holds the same lengths
+mirrored, and `at[l]` lists the nonterminals that derive length l.  It is
+grown on demand, one length at a time.  A rule beside a lifted terminal
+(`T_a` derives only length 1) has one split, so at[l - 1] passes on to
+its head; the splits s of other rules A -> B C (B derives s, C derives
+l - s) are the set bits of one AND of `bits[B]` with `rev[C]` shifted.
+CYK visits only the cells (A, l) in `at[l]`, length queries are bit tests,
+and a memo fills the cells its root reaches in ascending length.
 
 Grammar syntax: one production group per line, `A -> alpha | beta | eps`;
 nonterminals are uppercase identifiers, terminals are single lowercase
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import DecompositionError, FoldlangError, GrammarSyntaxError, ResourceLimit
 from .folding import Alphabet
-from .graph import closure, fill, has_cycle, set_bits
+from .graph import closure, has_cycle, set_bits
 
 _NONTERM = re.compile(r"[A-Z][A-Za-z0-9_]*$")
 
@@ -128,31 +128,50 @@ class LengthTable:
     bits[A] has bit l set iff A derives a string of length l (l >= 1), and
     rev[A] is its mirror, with bit cap - l set instead; `cap` only grows,
     doubling.  at[l] lists the nonterminals that derive length l, in
-    normal-form order."""
+    normal-form order.  feeds[C] lists the heads A of A -> T C and
+    A -> C T where T has no binary rule, so derives only length 1: A
+    derives l when C derives l - 1.  Only the other rules, the (A, B, C)
+    in `tested`, are tested with an AND."""
 
     def __init__(self, nf: _NormalFormGrammar):
-        self.prods = nf.bin_prods  # not nf itself: no reference cycle
         self.limit = self.cap = 1
         self.at = [[], [a for a in nf.nonterminals if nf.term_prods[a]]]
         self.bits = {a: 2 if nf.term_prods[a] else 0 for a in nf.nonterminals}
         self.rev = {a: bits >> 1 for a, bits in self.bits.items()}
+        self.rank = {a: i for i, a in enumerate(nf.nonterminals)}
+        self.feeds: dict[str, set[str]] = {a: set() for a in nf.nonterminals}
+        self.tested: list[tuple[str, str, str]] = []
+        prods = nf.bin_prods
+        for a, alts in prods.items():
+            for b, c in alts:
+                if prods[b] and prods[c]:
+                    self.tested.append((a, b, c))
+                else:
+                    self.feeds[c if not prods[b] else b].add(a)
 
     def upto(self, n: int) -> LengthTable:
         """Grow the table to cover every length up to n; returns self."""
+        if n <= self.limit:
+            return self
         if n > self.cap:
             grow = max(n, 2 * self.cap) - self.cap
             self.rev = {a: bits << grow for a, bits in self.rev.items()}
             self.cap += grow
-        bits, rev, cap = self.bits, self.rev, self.cap
+        bits, rev, at, feeds = self.bits, self.rev, self.at, self.feeds
         for l in range(self.limit + 1, n + 1):
-            # both halves of a length-l split are shorter than l, so bit l
-            # depends only on bits set in earlier rounds
-            self.at.append([a for a, alts in self.prods.items()
-                            if any(bits[b] & (rev[c] >> (cap - l)) for b, c in alts)])
-            for a in self.at[l]:
+            shift = self.cap - l
+            heads: set[str] = set()
+            for x in at[l - 1]:
+                heads.update(feeds[x])
+            # a tested split's halves are shorter than l: set in earlier rounds
+            for a, b, c in self.tested:
+                if a not in heads and bits[b] & (rev[c] >> shift):
+                    heads.add(a)
+            at.append(sorted(heads, key=self.rank.__getitem__))
+            for a in at[l]:
                 bits[a] |= 1 << l
-                rev[a] |= 1 << (cap - l)
-        self.limit = max(self.limit, n)
+                rev[a] |= 1 << shift
+        self.limit = n
         return self
 
     def splits(self, b: str, c: str, l: int):
@@ -497,21 +516,26 @@ class ContextFreeLang:
         return self._solve(self._least, n, lambda terms: min(terms, key=key), join)
 
     def _solve(self, memo, n, leaf, join):
-        """memo[(start, n)], filling every entry it needs children first.
-        leaf gets A's terminals, join the (B, C) results of every split of
-        every A -> B C."""
+        """memo[(start, n)], filling first every entry it needs: the cells
+        (A, l) it reaches through entries not yet kept, collected top-down
+        with their splits and combined by ascending length.  leaf gets A's
+        terminals, join the (B, C) entries of every split of A -> B C."""
         nf = self.normal_form
-        table = nf.lengths.upto(n)
-
-        def parts(node):
-            x, l = node
-            return [] if l == 1 else [((b, s), (c, l - s)) for b, c in nf.bin_prods[x]
-                                      for s in table.splits(b, c, l)]
-
-        def combine(node, entries):
-            return leaf(nf.term_prods[node[0]]) if node[1] == 1 else join(entries)
-
-        return fill(memo, (nf.start, n), parts, combine)
+        table, root = nf.lengths.upto(n), (nf.start, n)
+        cells: dict[tuple, list] = {} if root in memo else {root: []}  # cell: its splits
+        order = list(cells)
+        for a, l in order:  # order grows while it is walked
+            for b, c in nf.bin_prods[a]:
+                for s in table.splits(b, c, l):
+                    cells[(a, l)].append((b, s, c))
+                    for part in ((b, s), (c, l - s)):
+                        if part not in memo and part not in cells:
+                            cells[part] = []
+                            order.append(part)
+        for a, l in sorted(order, key=lambda cell: cell[1]):
+            memo[(a, l)] = (leaf(nf.term_prods[a]) if l == 1 else
+                            join([(memo[(b, s)], memo[(c, l - s)]) for b, s, c in cells[(a, l)]]))
+        return memo[root]
 
     def pumping_length(self) -> int:
         """2^(k+1) for k nonterminals of the normal form."""

@@ -1,6 +1,6 @@
 """Graph worklists shared by the engines and the F-system code:
-reachability, breadth-first numbering, the cycle test, memoised
-evaluation over a DAG, and the members of a set held as an int's bits.
+reachability, breadth-first numbering, the cycle test, and the members
+of a set held as an int's bits.
 
 None of them recurses, so chain length is not bounded by the Python stack.
 """
@@ -54,30 +54,6 @@ def has_cycle(succ) -> bool:
             if indegree[b] == 0:
                 ready.append(b)
     return peeled < len(succ)
-
-
-def fill(memo: dict, root, parts, combine):
-    """memo[root], filling first every entry it depends on, children
-    before parents.  parts(node) lists node's parts, each a pair of nodes
-    (none for a leaf); it is called once per node filled.  combine(node,
-    entries) builds node's entry from its parts' entries, one pair per
-    part.  The dependencies must be acyclic."""
-    stack = [(root, None)]
-    while stack:
-        node, node_parts = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        if node_parts is None:
-            node_parts = parts(node)
-            stack[-1] = (node, node_parts)
-        todo = [(k, None) for part in node_parts for k in part if k not in memo]
-        if todo:
-            stack.extend(todo)
-            continue
-        memo[node] = combine(node, [(memo[p], memo[q]) for p, q in node_parts])
-        stack.pop()
-    return memo[root]
 
 
 def set_bits(mask: int):

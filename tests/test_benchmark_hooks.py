@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import foldlang
+import foldlang.cli  # noqa: F401  (the package does not import it; the tracer wraps it)
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 

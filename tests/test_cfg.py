@@ -142,6 +142,17 @@ def test_length_queries_need_no_recursion():
     assert not ContextFreeLang("S -> a S b | eps", AB).has_length(2999)
 
 
+def test_length_queries_on_a_long_chain_stay_linear():
+    # 3,000 chain links, each deriving one length: testing every rule at
+    # every length would take 9 million ANDs of 3,000-bit ints
+    lang = ContextFreeLang("S -> " + "a " * 3000, AB)
+    start = time.perf_counter()
+    assert lang.has_length(3000)
+    assert not lang.has_length(2999)
+    assert lang.smallest_of_length(3000) == "a" * 3000
+    assert time.perf_counter() - start < 1.0
+
+
 def test_decompose_needs_no_recursion():
     lang = ContextFreeLang("S -> a S | a", AB)
     d = lang.decompose("a" * 1500)
@@ -473,3 +484,116 @@ def test_bitset_kernels_match_the_list_walk(text, words):
     for w in words:
         expect = {cell: m for cell, m in naive_cyk_masks(nf, w, naive).items() if m}
         assert cfg._cyk_masks(nf, w) == expect
+
+
+class ScanningLengthTable:
+    """The length table that tested every rule at every length, with no
+    propagation from the previous length.  Kept as the reference."""
+
+    def __init__(self, nf):
+        self.prods = nf.bin_prods
+        self.limit = self.cap = 1
+        self.at = [[], [a for a in nf.nonterminals if nf.term_prods[a]]]
+        self.bits = {a: 2 if nf.term_prods[a] else 0 for a in nf.nonterminals}
+        self.rev = {a: bits >> 1 for a, bits in self.bits.items()}
+
+    def upto(self, n):
+        if n > self.cap:
+            grow = max(n, 2 * self.cap) - self.cap
+            self.rev = {a: bits << grow for a, bits in self.rev.items()}
+            self.cap += grow
+        bits, rev, cap = self.bits, self.rev, self.cap
+        for l in range(self.limit + 1, n + 1):
+            self.at.append([a for a, alts in self.prods.items()
+                            if any(bits[b] & (rev[c] >> (cap - l)) for b, c in alts)])
+            for a in self.at[l]:
+                bits[a] |= 1 << l
+                rev[a] |= 1 << (cap - l)
+        self.limit = max(self.limit, n)
+        return self
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_grammars("ab", max_rhs=6))
+@example(DYCK)
+@example(PALIN)
+@example("S -> a a S b | eps")      # every rule beside a lifted terminal
+@example("S -> S S | a | b")        # no rule beside one
+@example("S -> A a | b A A\nA -> a A | A b | b")
+def test_propagated_length_table_matches_the_scan(text):
+    nf = ContextFreeLang(text, AB).normal_form
+    reference = ScanningLengthTable(nf)
+    # 9 and 40 double the cap, the others grow it to n; 20 is covered
+    for n in (7, 9, 30, 40, 20, 64, 130):
+        table = nf.lengths.upto(n)
+        reference.upto(n)
+        assert (table.limit, table.cap) == (reference.limit, reference.cap)
+        assert table.bits == reference.bits
+        assert table.rev == reference.rev
+        assert table.at == reference.at
+
+
+def fill(memo, root, parts, combine):
+    """Reference: memo[root] from a depth-first stack, children before
+    parents, rescanning a node's parts each time it is back on top."""
+    stack = [(root, None)]
+    while stack:
+        node, node_parts = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        if node_parts is None:
+            node_parts = parts(node)
+            stack[-1] = (node, node_parts)
+        todo = [(k, None) for part in node_parts for k in part if k not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        memo[node] = combine(node, [(memo[p], memo[q]) for p, q in node_parts])
+        stack.pop()
+    return memo[root]
+
+
+class DepthFirstContextFreeLang(ContextFreeLang):
+    """The language with its memos filled depth first, as before they were
+    filled in length order.  Kept as the reference."""
+
+    def _solve(self, memo, n, leaf, join):
+        nf = self.normal_form
+        table = nf.lengths.upto(n)
+
+        def parts(node):
+            x, l = node
+            return [] if l == 1 else [((b, s), (c, l - s)) for b, c in nf.bin_prods[x]
+                                      for s in table.splits(b, c, l)]
+
+        def combine(node, entries):
+            return leaf(nf.term_prods[node[0]]) if node[1] == 1 else join(entries)
+
+        return fill(memo, (nf.start, n), parts, combine)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_grammars("ab", max_rhs=6))
+@example(DYCK)
+@example(PALIN)
+@example("S -> a a S b | eps")
+@example("S -> S S | a | b")
+def test_length_ordered_memos_match_the_depth_first_fill(text):
+    lang, reference = ContextFreeLang(text, AB), DepthFirstContextFreeLang(text, AB)
+    calls = [
+        lambda x: x.smallest_of_length(5),
+        lambda x: x.enumerate_length(4),
+        lambda x: x.count_length(9, 0),    # refused when slice 9 is not empty
+        lambda x: x.smallest_of_length(12),
+        lambda x: x.count_length(11, 30),  # refused after smaller slices are built
+        lambda x: x.enumerate_length(7),
+        lambda x: x.count_length(10, 10 ** 6),
+        lambda x: x.smallest_of_length(9),
+    ]
+    for call in calls:
+        kept = dict(lang._strings)
+        assert call(lang) == call(reference)
+        assert lang._least == reference._least
+        assert lang._strings == reference._strings
+        assert kept.items() <= lang._strings.items()
