@@ -14,8 +14,10 @@ grown on demand, one length at a time.  A rule beside a lifted terminal
 (`T_a` derives only length 1) has one split, so at[l - 1] passes on to
 its head; the splits s of other rules A -> B C (B derives s, C derives
 l - s) are the set bits of one AND of `bits[B]` with `rev[C]` shifted.
-CYK visits only the cells (A, l) in `at[l]`, length queries are bit tests,
-and a memo fills the cells its root reaches in ascending length.
+CYK visits only the cells (A, l) in `at[l]`, and it and the parse tree
+join a fixed rule's one split directly.  The tree is two flat lists,
+parents first.  Length queries are bit tests, and a memo fills the cells
+its root reaches in ascending length.
 
 Grammar syntax: one production group per line, `A -> alpha | beta | eps`;
 nonterminals are uppercase identifiers, terminals are single lowercase
@@ -128,10 +130,12 @@ class LengthTable:
     bits[A] has bit l set iff A derives a string of length l (l >= 1), and
     rev[A] is its mirror, with bit cap - l set instead; `cap` only grows,
     doubling.  at[l] lists the nonterminals that derive length l, in
-    normal-form order.  feeds[C] lists the heads A of A -> T C and
-    A -> C T where T has no binary rule, so derives only length 1: A
-    derives l when C derives l - 1.  Only the other rules, the (A, B, C)
-    in `tested`, are tested with an AND."""
+    normal-form order.  rules[A] lists A's rules as (B, C, side): side is
+    1 when B has no binary rule, so derives only length 1 and the one
+    split is s = 1; -1 when only C has none, so s = l - 1; 0 otherwise.
+    feeds[C] lists the heads A of the fixed rules A -> T C and A -> C T:
+    A derives l when C derives l - 1.  Only the other rules, the
+    (A, B, C) in `tested`, are tested with an AND."""
 
     def __init__(self, nf: _NormalFormGrammar):
         self.limit = self.cap = 1
@@ -142,12 +146,14 @@ class LengthTable:
         self.feeds: dict[str, set[str]] = {a: set() for a in nf.nonterminals}
         self.tested: list[tuple[str, str, str]] = []
         prods = nf.bin_prods
-        for a, alts in prods.items():
-            for b, c in alts:
-                if prods[b] and prods[c]:
-                    self.tested.append((a, b, c))
+        self.rules = {a: [(b, c, 1 if not prods[b] else -1 if not prods[c] else 0)
+                          for b, c in alts] for a, alts in prods.items()}
+        for a, rules in self.rules.items():
+            for b, c, side in rules:
+                if side:
+                    self.feeds[c if side > 0 else b].add(a)
                 else:
-                    self.feeds[c if not prods[b] else b].add(a)
+                    self.tested.append((a, b, c))
 
     def upto(self, n: int) -> LengthTable:
         """Grow the table to cover every length up to n; returns self."""
@@ -178,6 +184,12 @@ class LengthTable:
         """Every s with s in L(B) and l - s in L(C), ascending; the table
         must cover l."""
         return set_bits(self.bits[b] & (self.rev[c] >> (self.cap - l)))
+
+    def rule_splits(self, b: str, c: str, side: int, l: int):
+        """The splits of the rule (B, C, side) from `rules` at length l: a
+        fixed rule's one split, whether or not its other side derives the
+        rest, or else `splits`."""
+        return (1 if side > 0 else l - 1,) if side else self.splits(b, c, l)
 
 
 def _generating(prods) -> set[str]:
@@ -329,8 +341,11 @@ def to_normal_form(g: Grammar) -> _NormalFormGrammar:
 def _cyk_masks(nf: _NormalFormGrammar, w: str) -> dict[tuple[str, int], int]:
     """masks[(A, l)] has bit i set iff A derives w[i:i+l].  Only the cells
     whose length A derives are visited, and only non-zero masks are kept.
-    Every symbol of w must be a terminal."""
+    A fixed rule (`LengthTable.rules`) joins its one split directly; the
+    other rules join the splits the length table allows.  Every symbol of
+    w must be a terminal."""
     table = nf.lengths.upto(len(w))
+    rules = table.rules
     positions = nf.terminals.positions(w)  # per symbol, a mask of where it is in w
     # distinct terminals hold disjoint positions, so their masks sum to their union
     masks = {(a, 1): m for a in table.at[1]
@@ -338,7 +353,11 @@ def _cyk_masks(nf: _NormalFormGrammar, w: str) -> dict[tuple[str, int], int]:
     for l in range(2, len(w) + 1):
         for a in table.at[l]:
             m = 0
-            for b, c in nf.bin_prods[a]:
+            for b, c, side in rules[a]:
+                if side:
+                    s = 1 if side > 0 else l - 1
+                    m |= masks.get((b, s), 0) & (masks.get((c, l - s), 0) >> s)
+                    continue
                 for s in table.splits(b, c, l):
                     left = masks.get((b, s))
                     if left:
@@ -377,42 +396,41 @@ class CfgDecomposition:
         return self.u + self.v * i + self.x + self.y * i + self.z
 
 
-@dataclass
-class _Node:
-    nt: str
-    start: int
-    length: int
-    children: list = field(default_factory=list)
-
-
-def _build_tree(nf: _NormalFormGrammar, masks, w: str) -> list[_Node]:
+def _build_tree(nf: _NormalFormGrammar, masks, w: str):
     """Deterministic parse tree of w (first production, smallest split),
-    built top-down without recursion; its nodes, parents first."""
-    nodes = [_Node(nf.start, 0, len(w))]
-    for node in nodes:  # nodes grows while it is walked
-        a, i, l = node.nt, node.start, node.length
+    built top-down without recursion, as two flat lists, parents first:
+    nodes[k] is (A, start, length), and left[k] is the index of its left
+    child, whose right sibling comes next, or 0 for a leaf."""
+    table = nf.lengths
+    nodes, left = [(nf.start, 0, len(w))], []
+    for a, i, l in nodes:  # nodes grows while it is walked
         if l == 1 and w[i] in nf.term_prods[a]:
+            left.append(0)
             continue
-        node.children = next(
-            ([_Node(b, i, s), _Node(c, i + s, l - s)]
-             for b, c in nf.bin_prods[a] for s in nf.lengths.splits(b, c, l)
-             if masks.get((b, s), 0) >> i & 1 and masks.get((c, l - s), 0) >> (i + s) & 1),
-            None)
-        if node.children is None:
+        split = next(((b, s, c) for b, c, side in table.rules[a]
+                      for s in table.rule_splits(b, c, side, l)
+                      if masks.get((b, s), 0) >> i & 1
+                      and masks.get((c, l - s), 0) >> (i + s) & 1), None)
+        if split is None:
             raise FoldlangError(f"no derivation for {a} over w[{i}:{i + l}]")
-        nodes += node.children
-    return nodes
+        b, s, c = split
+        left.append(len(nodes))
+        nodes += [(b, i, s), (c, i + s, l - s)]
+    return nodes, left
 
 
-def _longest_path(nodes: list[_Node]) -> list[_Node]:
-    """Root-to-leaf path through the tallest child, the left one on a tie;
-    nodes lists the tree parents first."""
-    height: dict[int, int] = {}
-    for nd in reversed(nodes):
-        height[id(nd)] = 1 + max((height[id(ch)] for ch in nd.children), default=0)
-    path = [nodes[0]]
-    while path[-1].children:
-        path.append(max(path[-1].children, key=lambda ch: height[id(ch)]))
+def _longest_path(nodes, left) -> list[tuple[str, int, int]]:
+    """Root-to-leaf path through the taller child, the left one on a tie,
+    as (A, start, length) nodes.  Every child comes after its parent, so
+    one reverse pass over the lists finds the heights."""
+    height = [1] * len(nodes)
+    for k in range(len(nodes) - 1, -1, -1):
+        if left[k]:
+            height[k] = 1 + max(height[left[k]], height[left[k] + 1])
+    path, k = [nodes[0]], 0
+    while left[k]:
+        k = left[k] + (height[left[k] + 1] > height[left[k]])
+        path.append(nodes[k])
     return path
 
 
@@ -551,23 +569,15 @@ class ContextFreeLang:
         p = self.pumping_length()
         if len(w) < p:
             raise DecompositionError(f"|w|={len(w)} < pumping length {p}")
-        path = _longest_path(_build_tree(nf, masks, w))
+        path = _longest_path(*_build_tree(nf, masks, w))
         tail = path[-(len(nf.nonterminals) + 1):]
-        seen: dict[str, _Node] = {}
-        upper = lower = None
-        for node in reversed(tail):
-            if node.nt in seen:
-                upper, lower = node, seen[node.nt]
-                break
-            seen[node.nt] = node
-        if upper is None:
-            raise FoldlangError("no repeated nonterminal on the longest path")
-        u = w[:upper.start]
-        v = w[upper.start:lower.start]
-        x = w[lower.start:lower.start + lower.length]
-        y = w[lower.start + lower.length:upper.start + upper.length]
-        z = w[upper.start + upper.length:]
-        return CfgDecomposition(u, v, x, y, z)
+        seen: dict[str, tuple[int, int]] = {}  # A: (start, length), lowest first
+        for a, i, l in reversed(tail):
+            if a in seen:
+                j, k = seen[a]  # the lower A, inside the upper one
+                return CfgDecomposition(w[:i], w[i:j], w[j:j + k], w[j + k:i + l], w[i + l:])
+            seen[a] = (i, l)
+        raise FoldlangError("no repeated nonterminal on the longest path")
 
     def is_infinite(self) -> bool:
         """Infinite iff the digraph of A -> B C edges has a cycle: every

@@ -1,17 +1,20 @@
 """Grammar parsing, normal form, CYK membership, and CF pumping."""
 
 import itertools
+import random
 import time
+from dataclasses import dataclass, field
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from foldlang import Alphabet, ContextFreeLang, cfg, parse_grammar, to_normal_form
+from foldlang import (Alphabet, ContextFreeLang, auto_plan, cfg, parse_grammar, pumping,
+                      to_normal_form)
 from foldlang.cfg import _drop_nullable, _nullable_set, _prune_useless
-from foldlang.errors import DecompositionError, GrammarSyntaxError, ResourceLimit
+from foldlang.errors import DecompositionError, FoldlangError, GrammarSyntaxError, ResourceLimit
 
-from conftest import AB, small_grammars
+from conftest import AB, small_grammars, system
 
 ANBN = "S -> a S b | eps"
 DYCK = "S -> a S b S | eps"          # balanced a=open, b=close
@@ -486,6 +489,37 @@ def test_bitset_kernels_match_the_list_walk(text, words):
         assert cfg._cyk_masks(nf, w) == expect
 
 
+def one_symbol_edits(w):
+    """w with its first, middle and last symbol flipped, with its middle
+    symbol dropped, and with an a put in the middle."""
+    flip = {"a": "b", "b": "a"}
+    mid = len(w) // 2
+    edits = [w[:i] + flip[w[i]] + w[i + 1:] for i in (0, mid, len(w) - 1)]
+    return edits + [w[:mid] + w[mid + 1:], w[:mid] + "a" + w[mid:]]
+
+
+_rng = random.Random(27)
+#: Grammars whose every rule is beside a lifted terminal on the left, on the
+#: right, on both sides, or on neither, with members of 100-264 symbols.
+LONG_CYK_WORDS = [
+    ("S -> a S | a", ["a" * n for n in (100, 181, 264)]),
+    ("S -> S a | a", ["a" * n for n in (100, 181, 264)]),
+    ("S -> a a S b | eps", ["a" * 2 * k + "b" * k for k in (34, 61, 88)]),
+    ("S -> S S | a | b", ["".join(_rng.choice("ab") for _ in range(n)) for n in (100, 264)]),
+]
+
+
+@pytest.mark.parametrize("text, members", LONG_CYK_WORDS)
+def test_cyk_matches_the_list_walk_on_long_inputs(text, members):
+    nf = ContextFreeLang(text, AB).normal_form
+    naive = NaiveLengthTable(nf)
+    for w in members:
+        assert cfg._cyk_masks(nf, w)[(nf.start, len(w))] == 1
+        for v in [w, *one_symbol_edits(w)]:
+            expect = {cell: m for cell, m in naive_cyk_masks(nf, v, naive).items() if m}
+            assert cfg._cyk_masks(nf, v) == expect
+
+
 class ScanningLengthTable:
     """The length table that tested every rule at every length, with no
     propagation from the previous length.  Kept as the reference."""
@@ -597,3 +631,128 @@ def test_length_ordered_memos_match_the_depth_first_fill(text):
         assert lang._least == reference._least
         assert lang._strings == reference._strings
         assert kept.items() <= lang._strings.items()
+
+
+@dataclass
+class Node:
+    nt: str
+    start: int
+    length: int
+    children: list = field(default_factory=list)
+
+
+def node_tree(nf, masks, w):
+    """The parse tree as linked nodes, parents first, from the split loop
+    over every rule, as before the tree was kept in flat lists.  Kept as the
+    reference."""
+    nodes = [Node(nf.start, 0, len(w))]
+    for node in nodes:
+        a, i, l = node.nt, node.start, node.length
+        if l == 1 and w[i] in nf.term_prods[a]:
+            continue
+        node.children = next(
+            ([Node(b, i, s), Node(c, i + s, l - s)]
+             for b, c in nf.bin_prods[a] for s in nf.lengths.splits(b, c, l)
+             if masks.get((b, s), 0) >> i & 1 and masks.get((c, l - s), 0) >> (i + s) & 1),
+            None)
+        if node.children is None:
+            raise FoldlangError(f"no derivation for {a} over w[{i}:{i + l}]")
+        nodes += node.children
+    return nodes
+
+
+def node_longest_path(nodes):
+    height = {}
+    for nd in reversed(nodes):
+        height[id(nd)] = 1 + max((height[id(ch)] for ch in nd.children), default=0)
+    path = [nodes[0]]
+    while path[-1].children:
+        path.append(max(path[-1].children, key=lambda ch: height[id(ch)]))
+    return path
+
+
+def reference_decomposition(lang, w):
+    """(decompose(w).pieces, the longest path as (A, start, length) nodes)
+    from the linked-node tree, or the DecompositionError text."""
+    nf = lang.normal_form
+    masks = cfg._cyk_masks(nf, w) if nf.terminals.covers(w) else {}
+    if not (masks.get((nf.start, len(w)), 0) & 1 if w else nf.start_epsilon):
+        return f"{w!r} is not a member"
+    p = lang.pumping_length()
+    if len(w) < p:
+        return f"|w|={len(w)} < pumping length {p}"
+    path = node_longest_path(node_tree(nf, masks, w))
+    seen = {}
+    for node in reversed(path[-(len(nf.nonterminals) + 1):]):
+        if node.nt in seen:
+            upper, lower = node, seen[node.nt]
+            break
+        seen[node.nt] = node
+    i, l, j, k = upper.start, upper.length, lower.start, lower.length
+    pieces = (w[:i], w[i:j], w[j:j + k], w[j + k:i + l], w[i + l:])
+    return pieces, [(nd.nt, nd.start, nd.length) for nd in path]
+
+
+def decomposition(lang, w):
+    try:
+        pieces = lang.decompose(w).pieces
+    except DecompositionError as e:
+        return str(e)
+    nf = lang.normal_form
+    return pieces, cfg._longest_path(*cfg._build_tree(nf, cfg._cyk_masks(nf, w), w))
+
+
+def flip_last(w):
+    return w[:-1] + {"a": "b", "b": "a", "u": "d", "d": "u"}[w[-1]] if w else "b"
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_grammars("ab", max_rhs=6))
+@example("S -> S S | a | b")        # several splits, none fixed
+@example("S -> S S | a S b | eps")
+@example("S -> a a S b | eps")      # every split fixed
+@example("S -> A a | b A A\nA -> a A | A b | b")
+def test_flat_parse_tree_matches_the_node_tree(text):
+    lang = ContextFreeLang(text, AB)
+    p = lang.pumping_length()
+    assume(p <= 128)
+    words = ["", "c", "ab", "b" * (p - 1)]
+    for n in range(p, p + 9):
+        w = lang.smallest_of_length(n)
+        if w is not None:
+            words += [w, flip_last(w)]
+    for w in words:
+        assert decomposition(lang, w) == reference_decomposition(lang, w)
+
+
+#: The systems of the pumping demos that have a context-free side.
+DEMO_SYSTEMS = [
+    ("S -> a S b | eps", "(ud)*"),
+    ("(ab)*", "S -> u S d | eps"),
+    ("S -> a S b | eps", "S -> u S d | eps"),
+    ("S -> a a S b | eps", "S -> u S d | eps"),
+    ("S -> a S | eps", "S -> u S | eps"),
+]
+
+
+@pytest.mark.parametrize("core, proc", DEMO_SYSTEMS)
+def test_flat_parse_tree_on_the_demo_strands(core, proc):
+    phi = system(core, proc)
+    plan = auto_plan(phi)
+    strands = [pumping._base_pair(phi)]
+    strands += [(plan.r_at(j), plan.s_at(j)) for j in range(plan.j0, plan.j0 + 4)]
+    for k, side in enumerate((phi.core, phi.proc)):
+        if isinstance(side, ContextFreeLang):
+            for pair in strands:
+                w = pair[k]
+                for v in (w, flip_last(w), w[:side.pumping_length() - 1]):
+                    assert decomposition(side, v) == reference_decomposition(side, v)
+
+
+def test_decompose_a_long_member_stays_fast():
+    lang = ContextFreeLang("S -> a a S b | eps", AB)
+    w = "a" * 8000 + "b" * 4000
+    start = time.perf_counter()
+    pieces = lang.decompose(w).pieces
+    assert time.perf_counter() - start < 1.0
+    assert pieces == reference_decomposition(lang, w)[0]
