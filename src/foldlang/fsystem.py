@@ -482,8 +482,8 @@ def equal_length_pair(phi: FSystem, min_len: int,
 def finite_language_system(words) -> FSystem:
     """F-system whose language is exactly the given finite word set:
     Phi = (union of the words, d*), the core their minimal DFA (`from_words`)."""
-    words = set(words)
-    alphabet = Alphabet(sorted(set().union(*words)) or ["a"])
+    words = [*words]
+    alphabet = Alphabet(sorted(set("".join(words))) or ["a"])
     core = RegularLang.from_words(words, alphabet)
     proc = RegularLang("d*", PROC_ALPHABET)
     return FSystem(core, proc)

@@ -7,10 +7,10 @@ compiled to a minimal complete DFA.  The compile builds the Glushkov
 position automaton (one position per literal, no epsilon edges), runs the
 subset construction over it with each state's follow positions bucketed
 by symbol, and minimizes by Moore refinement over per-symbol target
-columns.  A finite word set skips the regex compile: `from_words` builds
-its minimal DFA directly, one word at a time in sorted order, merging each
-finished branch into a register of the states already built, so the work
-after the sort is linear in the words' total length.  The pumping
+columns.  A finite word set skips the regex compile: `from_words` sorts
+it as given, so the caller's sorted runs are merged, not re-sorted, and
+builds its minimal DFA word by word, merging each finished branch into a
+register of built states, in linear time after the sort.  The pumping
 decomposition is taken at the first repeated state along the run.
 
 Each automaton keeps one liveness table, grown on demand: row k is the
@@ -386,40 +386,50 @@ class RegularLang:
 
     @classmethod
     def from_words(cls, words, alphabet: Alphabet) -> "RegularLang":
-        """The words' finite language, no regex: its minimal DFA, built in
-        one pass over the distinct words in sorted order (Daciuk et al.,
-        Computational Linguistics 2000).  A word's key is its symbols'
-        indices as bytes, one each, or four (UTF-32-BE) from 256 symbols on,
-        so no symbol starts with byte 255.  Ended by that byte, a key shares
-        with the next the bytes above the highest set bit of their XOR, as
-        ints padded to one length.  The states along the current key are
-        open, each a list [final, child per symbol]; those the next key
-        leaves are replaced, deepest first, by their registered equals (0
-        the dead state), each stored in its parent at the child index the
-        key's bytes give.  The states are then numbered breadth-first."""
+        """The words' finite language, no regex: its minimal DFA, built word by
+        word in sorted order (Daciuk et al., Computational Linguistics 2000).  A
+        word's key is its symbols' indices as bytes, one each, or four
+        (UTF-32-BE) from 256 symbols on, so no symbol starts with byte 255.
+        Keys are sorted as given (sorted input takes one linear pass), then
+        deduplicated.  Ended by that byte, a key shares with the next the bytes
+        above the highest set bit of their XOR, as ints padded to one length.
+        The open states along the current key are lists [final, child per
+        symbol]; those the next key leaves are replaced, deepest first, by their
+        registered equals (0 the dead state) at the child index the key's bytes
+        give.  One breadth-first pass numbers the register and writes its rows."""
         width, codec = (1, "latin-1") if len(alphabet) < 256 else (4, "utf-32-be")
-        keys = sorted(set(map(str.encode, map(alphabet.sort_key, words), repeat(codec))))
+        keys = [*dict.fromkeys(sorted(map(str.encode, map(alphabet.sort_key, words), repeat(codec))))]
         ended = [*map(bytes.__add__, keys, repeat(b"\xff")), b"\xff"]  # a lone end byte last
         sizes, values = [*map(len, ended)], [*map(int.from_bytes, ended, repeat("big"))]
         commons = [(a + b - ((x << 8 * b ^ y << 8 * a).bit_length() + 7) // 8) // width
                    for a, b, x, y in zip(sizes, sizes[1:], values, values[1:])]
         blank = [False] + [0] * len(alphabet)
-        register = {tuple(blank): 0}
-        path = [blank[:]]
+        register, size = {tuple(blank): 0}, 1
+        path, depth = [blank[:]], 0  # depth is len(path) - 1
         for key, common in zip(keys, commons):
             index = key if width == 1 else [*map(ord, key.decode(codec))]
-            while len(path) <= len(index):
+            while depth < len(index):
                 path.append(blank[:])
+                depth += 1
             path[-1][0] = True
-            while len(path) > common + 1:
+            while depth > common:
                 state = tuple(path.pop())
-                path[-1][1 + index[len(path) - 1]] = register.setdefault(state, len(register))
-        root = register.setdefault(tuple(path[0]), len(register))
-        states = list(register)  # by id, as ids follow insertion order
-        order, rows = breadth_first(root, lambda q: states[q][1:])
-        return cls._around(Automaton(
-            alphabet, [dict(zip(alphabet.symbols, row)) for row in rows],
-            0, {n for n, q in enumerate(order) if states[q][0]}))
+                depth -= 1
+                q = path[-1][1 + index[depth]] = register.setdefault(state, size)
+                size += q == size  # a new state took id size
+        root = register.setdefault(tuple(path[0]), size)
+        states, symbols = list(register), alphabet.symbols  # by id, as ids follow insertion order
+        number, order, transitions = {root: 0}, [root], []
+        for q in order:  # order grows while it is walked
+            row = {}
+            for a, r in zip(symbols, states[q][1:]):
+                if r not in number:
+                    number[r] = len(order)
+                    order.append(r)
+                row[a] = number[r]
+            transitions.append(row)
+        return cls._around(Automaton(alphabet, transitions, 0,
+                                     {n for n, q in enumerate(order) if states[q][0]}))
 
     def member(self, w: str) -> bool:
         states = self.automaton.run(w)

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from foldlang import Alphabet, RegularLang, finite_language_system, parse_regex
+from foldlang import Alphabet, RegularLang, finite_language_system, fs_enumerate, parse_regex
 from foldlang.errors import (AlphabetError, DecompositionError, FoldlangError,
                              RegexSyntaxError)
 from foldlang.regular import Automaton, Concat, Epsilon, Literal, Star, Union
@@ -373,6 +373,49 @@ def test_from_words_with_keys_that_prefix_their_successors(alphabet):
 def test_from_words_rejects_foreign_symbols():
     with pytest.raises(AlphabetError, match="'c'"):
         RegularLang.from_words(["ab", "abc"], AB)
+
+
+def five_orders(rng, alphabet, lengths):
+    """A seeded set of 1,000-2,000 distinct words over alphabet, of lengths
+    drawn from lengths, sorted in alphabet order, then the five ways of
+    giving it: sorted, reverse-sorted, shuffled, every word twice, and a
+    one-shot generator."""
+    words, size = set(), rng.randint(1000, 2000)
+    while len(words) < size:
+        words.add(random_word(rng, alphabet, rng.choice(lengths)))
+    ordered = sorted(words, key=alphabet.sort_key)
+    shuffled = rng.sample(ordered, len(ordered))
+    return ordered, {"sorted": ordered, "reversed": ordered[::-1], "shuffled": shuffled,
+                     "twice": shuffled + ordered[::-1], "generator": (w for w in shuffled)}
+
+
+#: Per alphabet, the word lengths of its five_orders sets.  The wide sets
+#: are short words, so that keys still share prefixes over 300 symbols.
+ORDER_CASES = {"ab": (AB, range(4, 13)), "ba": (BA, range(4, 13)), "wide": (WIDE, (0, 1, 2, 2, 3))}
+
+
+@pytest.mark.parametrize("alphabet, lengths", ORDER_CASES.values(), ids=ORDER_CASES.keys())
+def test_from_words_ignores_the_order_and_repeats_of_its_words(alphabet, lengths):
+    rng = random.Random(28)
+    for _ in range(3):
+        ordered, ways = five_orders(rng, alphabet, lengths)
+        expect = naive_from_words(ordered, alphabet)
+        for way, words in ways.items():
+            assert same_automaton(RegularLang.from_words(words, alphabet).automaton, expect), way
+
+
+@pytest.mark.parametrize("alphabet, lengths", ORDER_CASES.values(), ids=ORDER_CASES.keys())
+def test_finite_language_system_ignores_the_order_and_repeats_of_its_words(alphabet, lengths):
+    rng = random.Random(29)
+    for _ in range(2):
+        ordered, ways = five_orders(rng, alphabet, lengths)
+        # the system's alphabet is its words' symbols in code-point order
+        listed = sorted(ordered, key=lambda w: (len(w), w))
+        expect = naive_from_words(ordered, Alphabet(sorted(set("".join(ordered)))))
+        for way, words in ways.items():
+            phi = finite_language_system(words)
+            assert same_automaton(phi.core.automaton, expect), way
+            assert fs_enumerate(phi, max(lengths)) == listed, way
 
 
 @st.composite
