@@ -5,26 +5,21 @@ language over {u, d}; its language is every fold of an equal-length
 pair.  Each component is seen through the `Language` protocol, which the
 regular and the context-free engine both implement.
 
-A route counts only what it builds, before it builds it, against the
-pair cap: a context-free slice it enumerates, the pairs it folds, and the
-fold stacks and length masks of an enumeration walk.  A regular side is
-asked only `has_length`, from its liveness table.  Membership with a
-regular side, and enumeration, walk the product of two DFAs forward.
-Membership moves the fold windows of w, one int of window starts per
-product state, all at once per symbol, by one window step (`_step`), and
-a witness (the least pair) is read back off the same walk with its
-inverse (`_reaching`).  Enumeration (a fold grows its output from the
-middle out) moves the fold stacks, up to the last length with pairs.  A
-context-free side enters as the minimal DFA of the slices already counted,
-and the frozen F-system keeps what a window walk at n reads (`_walk`).
+Every query can be answered by a walk over two DFAs: a regular side's
+own, and for a context-free side the minimal DFA of its slices, each
+counted against the pair cap first (`_count_slices`, the one gate).  A
+regular side is asked only `has_length`.  Membership moves the fold
+windows of w, one int of window starts per product state, all at once
+per symbol (`_step`), and a witness (the least pair) is read back off the
+same walk with its inverse (`_reaching`).  Enumeration (a fold grows its
+output from the middle out) moves the fold stacks.  The frozen F-system
+keeps what a window walk at n reads (`_walk`).
 
-A decision with a regular side always walks.  A witness search reads its
-route off the exact pair count: up to FOLD_WITNESS_PAIRS pairs are folded
-(`_folds`), and more are walked; CF/CF enumeration folds up to
-FOLD_CF_CF_PAIRS pairs over all its lengths, and walks more.  A
-witness's window layers are checked against a budget set by the pair cap
-before they grow.  CF/CF membership, and enumeration with witnesses, fold
-every equal-length pair, exponential but exact.
+Folding every pair (`_folds`), the definition of L(Phi), is a bounded
+shortcut beside the walk: a route folds only when its pairs, counted
+against a budget (`_pairs_fit`), fit both its bound (`FOLD_*`) and the
+pair cap, so a fold route is never refused.  A walk is refused with
+ResourceLimit before it builds more than the cap allows.
 """
 
 from __future__ import annotations
@@ -39,29 +34,28 @@ from .errors import AlphabetError, NoEqualLengthPair, ResourceLimit, SpecFileErr
 from .folding import PROC_ALPHABET, Alphabet, fold, fold_permutation
 from .regular import RegDecomposition, RegularLang
 
-#: Per-length cap on what a route builds: the strings of a context-free
-#: slice, the pairs a fold route folds, or the fold stacks one layer of an
-#: enumeration walk makes.
+#: Per-length cap on what a walk builds: the strings of a context-free
+#: slice, or the fold stacks one layer of an enumeration walk makes.  A
+#: fold route folds no more pairs than it.
 DEFAULT_PAIR_CAP = 500_000
 
 #: Bits a witness's window layers, or an enumeration walk's length masks,
 #: may hold per candidate pair of the pair cap: about what one pair costs
-#: the fold route at the cap, a short string object (32 MB at the default
-#: cap).
+#: a fold route, a short string object (32 MB at the default cap).
 TABLE_BITS_PER_PAIR = 512
 
-#: A witness search with at most this many pairs folds them; with more it
-#: walks fold windows.  The measured crossover of the two routes' worst
-#: cases on cold tables, as the CLI and family verification meet them: a
-#: non-member folding every pair against a member walking every layer
-#: (BENCH_20.json, route_crossover).
+#: A fold route folds only when its pairs number at most its bound and the
+#: pair cap, and a walk answers otherwise.  Each bound is a measured cold
+#: crossover: a witness search's (BENCH_20.json, route_crossover),
 FOLD_WITNESS_PAIRS = 64
-
-#: CF/CF enumeration without witnesses folds its pairs while their sum over
-#: the lengths with pairs is at most this, and walks the product of its two
-#: slice DFAs above it: the measured crossover of the two routes on cold
-#: systems (BENCH_25.json, cf_cf_route).
+#: CF/CF enumeration's, its pairs summed over the lengths (BENCH_25.json),
 FOLD_CF_CF_PAIRS = 1024
+#: and a witness listing's, summed so, the lowest of its systems' (BENCH_29.json).
+FOLD_WITNESS_LISTING_PAIRS = 65_536
+#: A CF/CF decision's crossover is about 1,000 pairs (BENCH_29.json), but
+#: its bound keeps the benchmark's largest `dyck_dyck` `member` cell, n = 12
+#: with 132² pairs, folding until the benchmark reads each child's memory.
+FOLD_CF_CF_DECISION_PAIRS = 17_424
 
 #: Search ceiling above min_len when looking for an equal-length pair.
 DEFAULT_LENGTH_CEILING = 512
@@ -88,7 +82,7 @@ class Language(Protocol):
 
     def count_length(self, n: int, budget: int | None = None) -> int:
         """The number of members of length n, exact; 0 when n < 0.  With a
-        budget, a count over it may stop early and return budget + 1;
+        budget, a count over it may stop early and return a number over it;
         ValueError when budget < 0."""
 
     def has_length(self, n: int) -> bool:
@@ -126,30 +120,28 @@ class FSystem:
             raise AlphabetError("procedure language must use alphabet {u, d}")
 
 
-def _count_slices(phi: FSystem, n: int, pair_cap: int, folds: bool) -> int:
-    """Count the slices at n, a length where both sides have members, that
-    a route builds, before it builds them.  A route that folds pairs builds
-    both: each side is counted, regular first, against pair_cap // the
-    counts before it, so a side over its budget makes a product over the
-    cap.  A walk builds only a context-free side's slice, counted against
-    pair_cap itself, and asks a regular side nothing more.  ResourceLimit at
-    the first side over its budget, and a later side is not counted.
-    Returns the product of the counts taken, 1 when none is."""
-    sides = (("core", phi.core), ("procedure", phi.proc))
-    budget, before, pairs = pair_cap, "", 1
-    if phi.core.context_free and not phi.proc.context_free:
-        sides = sides[::-1]
-    for name, side in sides:
-        if not (folds or side.context_free):
-            continue
-        count = side.count_length(n, budget)
-        if count > budget:
-            raise ResourceLimit(f"{name} slice at length {n} has more than {budget} "
-                                f"strings{before}: over the cap of {pair_cap} candidate pairs")
-        if folds:
-            budget, before = budget // count, f", against {count} {name} strings"
-        pairs *= count
-    return pairs
+def _count_slices(phi: FSystem, n: int, pair_cap: int) -> None:
+    """The walk's gate at n, a length with pairs: ResourceLimit before the
+    walk builds the DFA of a context-free slice of more than pair_cap
+    strings, the core counted first.  A regular side is skipped."""
+    for name, side in (("core", phi.core), ("procedure", phi.proc)):
+        if side.context_free and side.count_length(n, pair_cap) > pair_cap:
+            raise ResourceLimit(f"{name} slice at length {n} has more than {pair_cap} "
+                                f"strings: over the cap of {pair_cap} candidate pairs")
+
+
+def _pairs_fit(phi: FSystem, lengths, budget: int) -> bool:
+    """Whether the pairs at the given lengths, each with pairs, number at
+    most budget in all, a fold route's test that raises nothing: at each
+    length a regular side first, a context-free side against what is left."""
+    for n in lengths:
+        pairs = 1
+        for side in sorted((phi.core, phi.proc), key=lambda side: side.context_free):
+            pairs *= side.count_length(n, budget // pairs)
+            if pairs > budget:
+                return False
+        budget -= pairs
+    return True
 
 
 def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
@@ -157,42 +149,41 @@ def fs_enumerate(phi: FSystem, max_len: int, pair_cap: int = DEFAULT_PAIR_CAP,
     """All members of L(Phi) of length <= max_len, sorted by (length, lex).
 
     With with_witnesses=True, returns a dict mapping each member to its
-    least witnessing (r, s) pair: the least r in core order, then the
-    least s in procedure order.
+    least witnessing (r, s) pair, the least r in core order, then the
+    least s in procedure order, in (length, r, s) order.
 
-    The lengths with pairs are read first, both sides' length sets ANDed
-    over 0..max_len.  The members are then built by following the output
-    over the product of two DFAs (`_follow_product`), so the work grows
-    with L(Phi) rather than with |core slice| x |procedure slice|.  The
-    walk ends at the last length with pairs, not at max_len.  A
-    context-free side enters as the minimal DFA (`from_words`) of its
-    slices at those lengths, each counted against pair_cap before it is
-    built (`_count_slices`); the walk checks its own fold stacks and
-    length masks.  Witnesses (the least pair is part of the contract), and
-    CF/CF with at most FOLD_CF_CF_PAIRS pairs in all, take every fold from
-    `_folds` instead, the first pair per fold, after the pairs at each
-    length are checked against pair_cap.  ResourceLimit at the first count
-    over the cap; ValueError when max_len or pair_cap is negative.
-    """
+    The lengths with pairs are read first, from both sides' length sets.
+    The members are then built by following the output over the product
+    of two DFAs (`_follow_product`), so the work grows with L(Phi) rather
+    than with the pairs; a context-free side enters as the minimal DFA
+    (`from_words`) of its slices, each gated by `_count_slices`.  CF/CF
+    with at most min(FOLD_CF_CF_PAIRS, pair_cap) pairs in all, and
+    witnesses with at most min(FOLD_WITNESS_LISTING_PAIRS, pair_cap), fold
+    every pair instead (`_folds`), the first pair per fold kept; other
+    witnesses are each member's `_least_pair`.  ResourceLimit from a walk
+    over the cap; ValueError when max_len or pair_cap is negative."""
     if min(max_len, pair_cap) < 0:
         raise ValueError("max_len and pair_cap must be >= 0")
     lengths = [n for n in range(max_len + 1) if phi.core.has_length(n) and phi.proc.has_length(n)]
-    pairs = [_count_slices(phi, n, pair_cap, with_witnesses) for n in lengths]
     key, cf_cf = phi.core.alphabet.sort_key, phi.core.context_free and phi.proc.context_free
-    if not (with_witnesses or cf_cf and sum(pairs) <= FOLD_CF_CF_PAIRS):
-        if not lengths:
-            return []
-        walk = _follow_product(*_automata(phi, lengths), lengths[-1], pair_cap)
-        symbols = phi.core.alphabet.symbols
-        order = None if tuple(sorted(symbols)) == symbols else key  # a str sorts as it is
-        return [w for words in walk for w in sorted(words, key=order)]
-    witnesses: dict[str, tuple[str, str]] = {}
+    if with_witnesses and not _pairs_fit(phi, lengths, min(FOLD_WITNESS_LISTING_PAIRS, pair_cap)):
+        least = {w: _least_pair(*_walk(phi, len(w), pair_cap), w)
+                 for w in fs_enumerate(phi, max_len, pair_cap)}
+        return dict(sorted(least.items(), key=lambda item: (
+            len(item[0]), key(item[1][0]), PROC_ALPHABET.sort_key(item[1][1]))))
+    if with_witnesses or cf_cf and _pairs_fit(phi, lengths, min(FOLD_CF_CF_PAIRS, pair_cap)):
+        witnesses: dict[str, tuple[str, str]] = {}
+        for n in lengths:
+            for w, r, s in _folds(phi, n):
+                if w not in witnesses:
+                    witnesses[w] = (r, s)
+        return witnesses if with_witnesses else sorted(witnesses, key=lambda w: (len(w), key(w)))
     for n in lengths:
-        _count_slices(phi, n, pair_cap, folds=True)  # CF/CF counted each side alone
-        for w, r, s in _folds(phi, n):
-            if w not in witnesses:
-                witnesses[w] = (r, s)
-    return witnesses if with_witnesses else sorted(witnesses, key=lambda w: (len(w), key(w)))
+        _count_slices(phi, n, pair_cap)
+    walk = _follow_product(*_automata(phi, lengths), lengths[-1], pair_cap) if lengths else []
+    symbols = phi.core.alphabet.symbols
+    order = None if tuple(sorted(symbols)) == symbols else key  # a str sorts as it is
+    return [w for words in walk for w in sorted(words, key=order)]
 
 
 def _automata(phi: FSystem, lengths) -> list:
@@ -214,15 +205,12 @@ def _follow_product(core, proc, max_len: int, pair_cap: int) -> list[set[str]]:
     state is dropped when no accepting pair is reachable from it in the
     steps left; the two sides step independently, so that is a common
     set bit of their length masks, one int per state read off `live` once
-    per call.  ResourceLimit before the masks would hold more than
-    TABLE_BITS_PER_PAIR bits per candidate pair of the cap, and before a
-    layer makes more than pair_cap fold stacks, counted as they are made,
-    before equal stacks of a product state merge (`_too_many_stacks`)."""
-    bits = (core.n_states + proc.n_states) * (max_len + 1)
-    if bits > pair_cap * TABLE_BITS_PER_PAIR:
-        raise ResourceLimit(f"length masks up to length {max_len} would hold {bits} bits: over "
-                            f"the budget of {TABLE_BITS_PER_PAIR} bits per candidate pair of "
-                            f"the cap of {pair_cap}")
+    per call.  ResourceLimit before the masks outgrow the cap
+    (`_check_tables`), and before a layer makes more than pair_cap fold
+    stacks, counted as they are made, before equal stacks of a product
+    state merge (`_too_many_stacks`)."""
+    _check_tables((core.n_states + proc.n_states) * (max_len + 1),
+                  f"length masks up to length {max_len} would hold", pair_cap)
     live_core, live_proc = masks = [[0] * auto.n_states for auto in (core, proc)]
     for auto, live in zip((core, proc), masks):
         for k, row in enumerate(auto.live(max_len)[:max_len + 1]):
@@ -270,8 +258,9 @@ def _walk(phi: FSystem, n: int, pair_cap: int | None = None):
     reach it, pruned by `live` to the states that still reach acceptance."""
     walk = phi._walks.get(n)
     core, proc = walk[:2] if walk else _automata(phi, [n])
-    if pair_cap is not None:
-        _check_tables(core, proc, n, pair_cap)
+    if pair_cap is not None:  # n + 1 layers of up to |Q|·|P| ints of n + 1 bits
+        _check_tables((n + 1) ** 2 * core.n_states * proc.n_states,
+                      f"witness layers at length {n} would hold up to", pair_cap)
     if walk is None:
         table = proc.live(n)
         reach = {proc.start: 1} if proc.start in table[n] else {}
@@ -397,16 +386,12 @@ def _least_pair(core, proc, starts: int, w: str) -> tuple[str, str] | None:
     return "".join(r), "".join(s)
 
 
-def _check_tables(core, proc, n: int, pair_cap: int) -> None:
-    """ResourceLimit before a witness's window layers at n, n + 1 layers
-    of up to |Q|·|P| ints of n + 1 bits, would hold more than
-    TABLE_BITS_PER_PAIR bits per candidate pair of the cap.  A decision
-    keeps one layer at a time, so it is not checked."""
-    bits = (n + 1) ** 2 * core.n_states * proc.n_states
+def _check_tables(bits: int, tables: str, pair_cap: int) -> None:
+    """ResourceLimit before tables of up to bits bits (window layers, length
+    masks) outgrow TABLE_BITS_PER_PAIR bits per candidate pair of the cap."""
     if bits > pair_cap * TABLE_BITS_PER_PAIR:
-        raise ResourceLimit(f"witness layers at length {n} would hold up to {bits} bits: over the "
-                            f"budget of {TABLE_BITS_PER_PAIR} bits per candidate pair of "
-                            f"the cap of {pair_cap}")
+        raise ResourceLimit(f"{tables} {bits} bits: over the budget of {TABLE_BITS_PER_PAIR} "
+                            f"bits per candidate pair of the cap of {pair_cap}")
 
 
 def _folds(phi: FSystem, n: int):
@@ -439,29 +424,25 @@ def fs_member(phi: FSystem, w: str, pair_cap: int = DEFAULT_PAIR_CAP,
     With with_witness=True, returns (ok, (r, s) or None), the least pair
     that folds to w: the least r in core order, then the least s.
 
-    CF/CF, and a witness search with at most FOLD_WITNESS_PAIRS pairs by
-    exact count, fold the pairs one by one (`_folds`), stopping at the
-    witness, once the pairs are within pair_cap (`_count_slices`).  Any
-    other query walks fold windows over two DFAs (`_window_layers`, which
-    reaches layer |w| iff w folds, and `_least_pair` for a witness), read
-    from `_walk`, which the system keeps per length: a context-free side's
-    slice is counted against pair_cap first, and a regular side is asked
-    only `has_length`, so a REG/REG decision is never refused.  A witness
-    walk whose layers would outgrow the budget the cap sets
-    (`_check_tables`) is refused with ResourceLimit before they, or its
-    u-count mask, are built."""
+    A witness search with at most min(FOLD_WITNESS_PAIRS, pair_cap) pairs,
+    and a CF/CF decision with at most min(FOLD_CF_CF_DECISION_PAIRS,
+    pair_cap) (`_pairs_fit`), fold the pairs (`_folds`) up to the witness.
+    Any other query walks fold windows over the DFAs `_walk` keeps per
+    length, past the gate (`_count_slices`): `_window_layers` reaches layer
+    |w| iff w folds, and `_least_pair` reads the witness off its layers,
+    checked first (`_check_tables`).  A REG/REG decision is never refused."""
     if pair_cap < 0:
         raise ValueError("pair_cap must be >= 0")
     n, witness = len(w), None
     if phi.core.alphabet.covers(w) and phi.core.has_length(n) and phi.proc.has_length(n):
-        cf_cf = phi.core.context_free and phi.proc.context_free
-        _count_slices(phi, n, pair_cap, cf_cf)
-        if not (cf_cf or with_witness):
-            return sum(map(bool, _window_layers(*_walk(phi, n), w))) > n  # no layer is empty
-        if cf_cf or phi.core.count_length(n) * phi.proc.count_length(n) <= FOLD_WITNESS_PAIRS:
-            _count_slices(phi, n, pair_cap, folds=True)
+        folds = with_witness or phi.core.context_free and phi.proc.context_free
+        fold_cap = FOLD_WITNESS_PAIRS if with_witness else FOLD_CF_CF_DECISION_PAIRS
+        if folds and _pairs_fit(phi, [n], min(fold_cap, pair_cap)):
             witness = next(((r, s) for folded, r, s in _folds(phi, n) if folded == w), None)
         else:
+            _count_slices(phi, n, pair_cap)
+            if not with_witness:
+                return sum(map(bool, _window_layers(*_walk(phi, n), w))) > n  # no layer is empty
             witness = _least_pair(*_walk(phi, n, pair_cap), w)
     return (witness is not None, witness) if with_witness else witness is not None
 

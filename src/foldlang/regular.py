@@ -20,10 +20,10 @@ state, and enumeration, `smallest_of_length` and the F-system's walks
 prune with it, so a slice is known non-empty before it is built.  Row
 k + 1 is the predecessors of row k and depends on it alone, so each
 distinct row is built once and equal rows are one object: a periodic
-table costs one list slot per length.  Exact word counts are a second
-table, built only when `count_length` asks.  Nothing recurses but the
-enumeration, log2(n / 64) deep: the parser, the compile and `is_infinite`
-use explicit stacks or worklists.
+table costs one list slot per length.  Word counts, held at a ceiling,
+are a second table, shared the same way.  Nothing recurses but the
+enumeration, log2(n / 64) deep: the parser, the compile and
+`is_infinite` use explicit stacks or worklists.
 
 Concrete regex syntax: single-character literals, `|` union (lowest
 precedence), juxtaposition for concatenation, postfix `*` `+` `?`,
@@ -212,13 +212,16 @@ def _positions(ast: RegexAst, alphabet: Alphabet):
     return sym, follow, set(last) | ({0} if nullable else set())
 
 
+COUNT_CEILING = 2 ** 61  #: where a count table stops counting, far over any budget
+
+
 class Automaton:
     """Deterministic, complete automaton over an Alphabet.
 
     States are 0..n-1; transitions is a list of per-state dicts mapping
     every alphabet symbol to a state, kept and not copied.  The language is
-    fixed at construction.  Its liveness table (`live`) and its exact
-    count table (`counts`, for `count_length` only) are grown on demand, a
+    fixed at construction.  Its liveness table (`live`) and its count
+    table (`counts`, for `count_length` only) are grown on demand, a
     row for k steps never changing."""
 
     def __init__(self, alphabet: Alphabet, transitions, start: int, accepting):
@@ -236,7 +239,8 @@ class Automaton:
         self._live = [self.accepting]
         self._rows = {self.accepting: self.accepting}  # each distinct row, as kept
         self._after: dict[frozenset[int], frozenset[int]] = {}  # a kept row to the next
-        self._counts: list[dict[int, int]] | None = None
+        self._counts: list[dict[int, int]] | None = None  # and _count_rows, on first use
+        self._count_after: dict[int, dict[int, int]] = {}  # a kept count row's id to the next
 
     @property
     def n_states(self) -> int:
@@ -283,21 +287,28 @@ class Automaton:
         return table
 
     def counts(self, n: int) -> list[dict[int, int]]:
-        """The exact count table grown to cover n: counts[k] maps each
-        state from which some length-k word leads to acceptance to the
-        number of such words.  A row sums the next row over the predecessor
-        edges, so two symbols into the same state count twice."""
+        """The count table grown to cover n: counts[k] maps each state from
+        which some length-k word leads to acceptance to the number of such
+        words, held at COUNT_CEILING; equal rows are one object, as in `live`."""
         if self._counts is None:
-            self._counts = [dict.fromkeys(self.accepting, 1)]
-        table, preds = self._counts, self._preds
+            first = dict.fromkeys(self.accepting, 1)
+            self._counts, self._count_rows = [first], {frozenset(first.items()): first}
+        table, after = self._counts, self._count_after
         while len(table) <= n:
-            row: dict[int, int] = {}
-            get = row.get
-            for r, c in table[-1].items():
-                for q in preds[r]:
-                    row[q] = get(q, 0) + c
-            table.append(row)
+            last = id(table[-1])
+            if last not in after:
+                row = {q: min(c, COUNT_CEILING) for q, c in self.count_row(table[-1]).items()}
+                after[last] = self._count_rows.setdefault(frozenset(row.items()), row)
+            table.append(after[last])
         return table
+
+    def count_row(self, row: dict[int, int]) -> dict[int, int]:
+        """The count row one step on from row: counts summed over the edges."""
+        following: dict[int, int] = {}
+        for r, c in row.items():
+            for q in self._preds[r]:
+                following[q] = following.get(q, 0) + c
+        return following
 
 
 def compile_ast(ast: RegexAst, alphabet: Alphabet) -> Automaton:
@@ -481,11 +492,18 @@ class RegularLang:
         return tuple([p + x for p, q in prefixes for x in suffixes[q]])
 
     def count_length(self, n: int, budget: int | None = None) -> int:
-        """Exact, from the count table, whatever the budget; no string is
-        built, and no count row when the liveness table says 0."""
+        """Exact below COUNT_CEILING, from the count table; a count held at
+        it is returned for a budget under it, else summed again row by row."""
         if budget is not None and budget < 0:
             raise ValueError("budget must be >= 0")
-        return self.automaton.counts(n)[n][self.automaton.start] if self.has_length(n) else 0
+        auto = self.automaton
+        count = auto.counts(n)[n][auto.start] if self.has_length(n) else 0
+        if count < COUNT_CEILING or budget is not None and budget < COUNT_CEILING:
+            return count
+        row = auto.counts(0)[0]
+        for _ in range(n):
+            row = auto.count_row(row)
+        return row[auto.start]
 
     def has_length(self, n: int) -> bool:
         return n >= 0 and self.automaton.start in self.automaton.live(n)[n]

@@ -5,6 +5,7 @@ import gc
 import itertools
 import re
 import string
+import tracemalloc
 import weakref
 
 import pytest
@@ -126,9 +127,14 @@ def test_cf_cf_enumeration_folds_up_to_its_crossover_and_walks_above(core, proc,
     assert fsystem.FOLD_CF_CF_PAIRS == 1024
     assert summed_pairs(phi, 5) == fsystem.FOLD_CF_CF_PAIRS + walks
     assert cf_cf_listing(phi, 5, walks) == by_length_then_lex(pairwise_witnesses(phi, 5))
-    # witnesses always fold, whatever the pair count
-    assert list(fs_enumerate(phi, 5, with_witnesses=True).items()) == list(
-        pairwise_witnesses(phi, 5).items())
+    # witnesses fold while the pairs summed over the lengths fit the cap;
+    # below it each member's least pair is read off its window walk
+    pairs = summed_pairs(phi, 5)
+    for pair_cap in (pairs, pairs - 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fsystem, "_folds" if pair_cap < pairs else "_least_pair", None)
+            assert list(fs_enumerate(phi, 5, pair_cap, with_witnesses=True).items()) == list(
+                pairwise_witnesses(phi, 5).items()), pair_cap
 
 
 #: Context-free languages with slices that grow with n, over symbols x, y.
@@ -217,7 +223,6 @@ def test_generated_systems_match_fold_oracle(core_cf, proc_cf, data):
     assert fs_enumerate(phi, 5) == [w for n in range(6) for w in sorted(least[n], key=AB.sort_key)]
     assert list(fs_enumerate(phi, 5, with_witnesses=True).items()) == list(
         pairwise_witnesses(phi, 5).items())
-    walks = not (core_cf and proc_cf)
     for n in range(6):
         for w in map("".join, itertools.product(AB.symbols, repeat=n)):
             ok, witness = fs_member(phi, w, with_witness=True)
@@ -226,10 +231,9 @@ def test_generated_systems_match_fold_oracle(core_cf, proc_cf, data):
             assert fs_member(phi, w) is ok, w
             # the witness is the least pair that folds to w, on either route
             assert witness == least[n].get(w) == fold_route_witness(phi, w), w
-            if walks and phi.core.has_length(n) and phi.proc.has_length(n):
+            if phi.core.has_length(n) and phi.proc.has_length(n):
                 assert fsystem._least_pair(*fsystem._walk(phi, n), w) == witness, w
-    if not walks:
-        return
+                assert walks_to_the_end(phi, w) is ok, w
     # longer words: folds of drawn pairs and random words, on both routes
     rng = data.draw(st.randoms(use_true_random=False))
     for n in data.draw(st.lists(st.integers(6, 9), min_size=1, max_size=2)):
@@ -321,7 +325,8 @@ def test_member_stops_at_its_witness(monkeypatch):
         assert fs_member(phi, w, with_witness=True) == (True, ("abababab", least))
     assert fs_member(phi, "abbbaaba") is False
     assert fs_member(phi, "abbbaaba", with_witness=True) == (False, None)
-    # a CF/CF decision and witness still fold the pairs, however many
+    # a CF/CF decision folds its pairs up to the cap, and a witness search
+    # up to FOLD_WITNESS_PAIRS: 5 pairs at n = 6
     monkeypatch.setattr(fsystem, "fold", counted_fold)
     folded.clear()
     phi = system("S -> a S b | eps", "S -> u S d S | eps")
@@ -479,6 +484,44 @@ def test_walk_witnesses_are_least_on_long_words(core_cf, proc_cf, data):
             assert fsystem._least_pair(*walk, w) == unfold_witness(phi, w), w
 
 
+def test_dyck_dyck_decides_above_the_fold_cap(monkeypatch, rng):
+    # 1,430^2 pairs at 16 and 4,862^2 at 18, over the default cap: decisions
+    # and witnesses walk the two slice DFAs, and no pair is folded
+    phi = system("S -> a S b S | eps", "S -> u S d S | eps")
+    monkeypatch.setattr(fsystem, "_folds", None)
+    for n in (16, 18):
+        r, s = (rng.choice(side.enumerate_length(n)) for side in (phi.core, phi.proc))
+        member, k = fold(r, s), rng.randrange(n)
+        flipped = member[:k] + ("b" if member[k] == "a" else "a") + member[k + 1:]
+        for w in (member, flipped, fold("ab" * (n // 2), "ud" * (n // 2)), "b" * n,
+                  random_word(rng, AB, n)):
+            least = unfold_witness(phi, w)
+            assert fs_member(phi, w) is (least is not None), w
+            assert fs_member(phi, w, with_witness=True) == (least is not None, least), w
+        assert fs_member(phi, member) is True
+
+
+def test_a_raised_cap_moves_no_fold_route(monkeypatch):
+    # a fold route is bounded by its own constant as well as by the cap: at
+    # a cap of 10**9 a dyck_dyck decision folds its 132^2 pairs at n = 12
+    # and walks 429^2 at n = 14, and a witness listing over
+    # FOLD_WITNESS_LISTING_PAIRS walks
+    phi = system("S -> a S b S | eps", "S -> u S d S | eps")
+    assert fsystem.FOLD_CF_CF_DECISION_PAIRS == 132 ** 2
+    for n, other in ((12, "_window_layers"), (14, "_folds")):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fsystem, other, None)
+            for w in (fold("ab" * (n // 2), "ud" * (n // 2)), "b" * n, "ab" * (n // 2)):
+                assert fs_member(phi, w, pair_cap=10**9) is (unfold_witness(phi, w) is not None)
+    pairs = summed_pairs(phi, 10)  # 1,991: the plain listing walks too
+    for bound, other in ((pairs, "_least_pair"), (pairs - 1, "_folds")):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fsystem, "FOLD_WITNESS_LISTING_PAIRS", bound)
+            patch.setattr(fsystem, other, None)
+            assert list(fs_enumerate(phi, 10, 10**9, with_witnesses=True).items()) == list(
+                pairwise_witnesses(phi, 10).items()), bound
+
+
 #: REG/REG, CF/REG and REG/CF, with a member and a non-member per length.
 KEPT_TABLE_SYSTEMS = [("(ab)*", "(u|d)*"), ("S -> a S b S | eps", "(u|d)*"),
                       ("(ab)*", "S -> u S d S | eps"), ("a*b*", "(u|d)*d")]
@@ -611,6 +654,24 @@ def test_walk_tables_are_bounded_before_they_grow(monkeypatch):
         assert fresh._walks == {}
     ok, (r, s) = fs_member(phi, w, pair_cap=3000, with_witness=True)
     assert ok and fold(r, s) == w and phi.core.member(r) and phi.proc.member(s)
+
+
+def test_long_witness_keeps_tables_linear_in_n():
+    # (ab)* / (ud)* has one pair at n = 200,000, so the witness search folds
+    # it; its pair count reads count rows that repeat with period 2, kept as
+    # two objects, where one dict per length took about 92 MiB.  The two
+    # one-string slices are built first, untraced: the languages keep them
+    phi = system("(ab)*", "(ud)*")
+    for side in (phi.core, phi.proc):
+        side.enumerate_length(200_000)
+    w = fold("ab" * 100_000, "ud" * 100_000)
+    tracemalloc.start()
+    try:
+        assert fs_member(phi, w, with_witness=True) == (True, ("ab" * 100_000, "ud" * 100_000))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 10_000_000
 
 
 @pytest.mark.parametrize("context_free", [False, True], ids=["regex", "slice DFA"])
@@ -790,12 +851,13 @@ def walk_stacks(phi, lengths):
 
 
 def route_amounts(phi, n):
-    """What the route of each call at n builds, the amount the pair cap
-    must cover, from brute-force slice sizes: for fs_member(phi, "a" * n)
-    and its witness search, then fs_enumerate(phi, n) and its witness
-    listing.  A walk builds the context-free slices; fold routes build
-    every pair; window layers and length masks cost one pair per
-    TABLE_BITS_PER_PAIR bits."""
+    """The least cap each call at n answers at, from brute-force slice
+    sizes: for fs_member(phi, "a" * n) and its witness search, then
+    fs_enumerate(phi, n) and its witness listing.  A walk must fit its
+    context-free slices, and its window layers or length masks at one pair
+    per TABLE_BITS_PER_PAIR bits; a fold route, taken when its pairs fit
+    its crossover and the cap, is never refused, so a call answers at the
+    lesser of the two amounts where it may fold."""
     sizes = [(slice_size(phi.core, AB.symbols, m), slice_size(phi.proc, "ud", m))
              for m in range(n + 1)]
     lengths = [m for m in range(n + 1) if all(sizes[m])]
@@ -809,18 +871,24 @@ def route_amounts(phi, n):
     def pairs_for(bits):
         return -(-bits // fsystem.TABLE_BITS_PER_PAIR)
 
+    def layers(m):
+        core, proc = fsystem._automata(phi, [m])
+        return max(built[m], pairs_for((m + 1) ** 2 * core.n_states * proc.n_states))
+
+    def or_fold(pairs, crossover, walk):
+        return min(pairs, walk) if pairs <= crossover else walk
+
     member = witness = 0
     if n in lengths:
-        member = products[n] if cf_cf else built[n]
-        witness = products[n]
-        if not cf_cf and products[n] > fsystem.FOLD_WITNESS_PAIRS:
-            core, proc = fsystem._automata(phi, [n])
-            witness = max(built[n], pairs_for((n + 1) ** 2 * core.n_states * proc.n_states))
+        member = built[n]  # a CF/CF fold needs its pairs, never fewer than a slice
+        witness = or_fold(products[n], fsystem.FOLD_WITNESS_PAIRS, layers(n))
     core, proc = fsystem._automata(phi, lengths)
     walk = max(*built.values(), walk_stacks(phi, lengths),
                pairs_for((core.n_states + proc.n_states) * (lengths[-1] + 1)))
-    folds = cf_cf and sum(products.values()) <= fsystem.FOLD_CF_CF_PAIRS
-    return member, witness, max(products.values()) if folds else walk, max(products.values())
+    listing = or_fold(sum(products.values()), fsystem.FOLD_CF_CF_PAIRS if cf_cf else -1, walk)
+    witnesses = or_fold(sum(products.values()), fsystem.FOLD_WITNESS_LISTING_PAIRS,
+                        max(listing, *map(layers, lengths)))
+    return member, witness, listing, witnesses
 
 
 @pytest.mark.parametrize("core_cf,proc_cf", itertools.product((False, True), repeat=2),
@@ -828,9 +896,10 @@ def route_amounts(phi, n):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_pair_cap_refuses_exactly_the_products_over_it(core_cf, proc_cf, data):
-    """The product a call must keep within the cap is what its route builds
-    (`route_amounts`): refused exactly above it, and otherwise the answer of
-    the fold oracle."""
+    """Each call answers at a cap from the least one its routes allow
+    (`route_amounts`) up, with the fold oracle's answer, and is refused
+    below it: a fold route that does not fit gives way to the walk, and
+    only the walk is refused."""
     phi = FSystem(data.draw(dense_or_small_languages(AB, core_cf)),
                   data.draw(dense_or_small_languages(PROC_ALPHABET, proc_cf)))
     n = data.draw(st.integers(0, 5))
@@ -882,11 +951,12 @@ def test_context_free_count_stops_at_its_budget():
     with pytest.raises(ResourceLimit, match="^core slice at length 8 has more than 13 strings: "
                                             "over the cap of 13 candidate pairs$"):
         fs_enumerate(system(dyck, "(u|d)*"), 8, pair_cap=13)
-    # listing witnesses folds every pair: the regular side goes first, and the
-    # core's budget is 1000 // 256
-    with pytest.raises(ResourceLimit, match="^core slice at length 8 has more than 3 strings, "
-                                            "against 256 procedure strings: over the cap "):
-        fs_enumerate(system(dyck, "(u|d)*"), 8, pair_cap=1000, with_witnesses=True)
+    # listing witnesses folds every pair only while each length's pairs fit
+    # the cap: 14 x 256 at 8 do not fit 1,000, so each member's least pair is
+    # read off its window walk, and the listing is answered
+    phi = system(dyck, "(u|d)*")
+    assert list(fs_enumerate(phi, 8, pair_cap=1000, with_witnesses=True).items()) == list(
+        pairwise_witnesses(phi, 8).items())
     # under budget the count is exact, and over it one past the budget
     lang = ContextFreeLang(dyck, AB)
     assert lang.count_length(12, 132) == 132
@@ -901,17 +971,36 @@ def test_context_free_count_stops_at_its_budget():
 
 
 def test_regular_side_over_the_cap_is_refused_before_the_other_is_counted(monkeypatch):
-    def no_count(self, n, budget=None):
-        raise AssertionError(f"context-free slice {n} counted")
+    budgets = []
+    count_length = ContextFreeLang.count_length
 
-    # a route that folds every pair counts the regular side first: (a|b)^10
-    # has 1,024 strings, over the cap, and the Dyck side is never counted
+    def counted(self, n, budget=None):
+        budgets.append(budget)
+        return count_length(self, n, budget)
+
+    # a fold route counts the regular side first, and the Dyck side only
+    # against what it leaves: (a|b)^10 has 1,024 strings and Dyck 42 at 10,
+    # so 43,008 pairs fit a cap of 43,008 and not 43,007
     phi = system("(a|b)" * 10, "S -> u S d S | eps")
+    expected = list(pairwise_witnesses(phi, 10, 10).items())
+    monkeypatch.setattr(ContextFreeLang, "count_length", counted)
+    for pair_cap, folds in ((43008, True), (43007, False)):
+        budgets.clear()
+        with monkeypatch.context() as patch:
+            if not folds:
+                patch.setattr(fsystem, "_folds", None)
+            listing = fs_enumerate(phi, 10, pair_cap=pair_cap, with_witnesses=True)
+        assert list(listing.items()) == expected
+        # the walk's gate counts the Dyck slice against the cap itself
+        assert budgets == [pair_cap // 1024] + ([] if folds else [pair_cap]), pair_cap
+    # (a|b)^10 alone is over a witness search's 64 pairs: the Dyck side is
+    # counted only by the walk's gate, and the witness is the walk's
+    budgets.clear()
     with monkeypatch.context() as patch:
-        patch.setattr(ContextFreeLang, "count_length", no_count)
-        with pytest.raises(ResourceLimit, match="^core slice at length 10 has more than 1000 "
-                                                "strings: over the cap of 1000 candidate pairs$"):
-            fs_enumerate(phi, 10, pair_cap=1000, with_witnesses=True)
+        patch.setattr(fsystem, "_folds", None)
+        for w, least in expected[:50]:
+            assert fs_member(phi, w, pair_cap=1000, with_witness=True) == (True, least)
+    assert set(budgets) == {1000}
 
     def no_regular_count(self, n, budget=None):
         raise AssertionError(f"regular slice {n} counted")
@@ -923,6 +1012,25 @@ def test_regular_side_over_the_cap_is_refused_before_the_other_is_counted(monkey
     with pytest.raises(ResourceLimit, match="^procedure slice at length 10 has more than 41 "
                                             "strings: over the cap of 41 candidate pairs$"):
         fs_member(system("(a|b)" * 10, "S -> u S d S | eps"), "ab" * 5, pair_cap=41)
+
+
+def test_a_fold_route_that_does_not_fit_the_cap_gives_way_to_the_walk(monkeypatch):
+    # (ab)* / (ud)* has one pair at each even n: a cap of 0 fits no pair, so
+    # no query folds; the decision walks, and the witness walk's layers are
+    # refused by their own budget
+    monkeypatch.setattr(fsystem, "_folds", None)
+    phi = system("(ab)*", "(ud)*")
+    w = fold("abab", "udud")
+    assert fs_member(phi, w, pair_cap=0) is True
+    assert fs_member(phi, "bbaa", pair_cap=0) is False
+    with pytest.raises(ResourceLimit, match="^witness layers at length 4 "):
+        fs_member(phi, w, pair_cap=0, with_witness=True)
+    with pytest.raises(ResourceLimit, match="^length masks up to length 4 "):
+        fs_enumerate(phi, 4, pair_cap=0, with_witnesses=True)
+    # a CF/CF decision's one pair does not fit a cap of 0 either: it walks,
+    # and the walk's gate refuses the core slice
+    with pytest.raises(ResourceLimit, match="^core slice at length 4 has more than 0 strings"):
+        fs_member(system("S -> a S b | eps", "S -> u S d | eps"), "abab", pair_cap=0)
 
 
 def test_foreign_symbol_is_refused_before_any_slice():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from foldlang import Alphabet, RegularLang, finite_language_system, fs_enumerate, parse_regex
 from foldlang.errors import (AlphabetError, DecompositionError, FoldlangError,
                              RegexSyntaxError)
-from foldlang.regular import Automaton, Concat, Epsilon, Literal, Star, Union
+from foldlang.regular import COUNT_CEILING, Automaton, Concat, Epsilon, Literal, Star, Union
 
 from conftest import AB, random_word, regex_asts
 from regex_oracle import match_backtrack
@@ -442,6 +442,9 @@ def test_liveness_rows_are_the_support_of_the_counts(lang):
     kept = {}
     for row in live:
         assert kept.setdefault(row, row) is row
+    kept = {}
+    for row in counts:
+        assert kept.setdefault(frozenset(row.items()), row) is row
     # and the exact counts stay those of the language, word by word
     for n in range(7):
         members = sum(map(lang.member, brute_words(lang.alphabet, n)))
@@ -455,6 +458,18 @@ def test_periodic_liveness_keeps_one_object_per_distinct_row():
     live = auto.live(10_000)
     assert len({id(row) for row in live}) == len(set(live)) == 6
     assert [0 in live[k] for k in range(7)] == [True, False, True, True, True, False, True]
+    # so are equal count rows, which repeat from row 1 on: 7 dicts in 10,001 slots
+    counts = auto.counts(10_000)
+    assert len({id(row) for row in counts}) == len({frozenset(row.items()) for row in counts}) == 7
+    assert [counts[k].get(0, 0) for k in range(7)] == [1, 0, 1, 1, 1, 0, 2]
+    # a dense table is held at COUNT_CEILING, one row from 61 on; a count
+    # over a budget under the ceiling is the ceiling, and others are exact
+    lang = RegularLang("(a|b)*", AB)
+    dense = lang.automaton.counts(100)
+    assert [dense[k][0] for k in (60, 61, 62, 100)] == [2**60, 2**61, 2**61, 2**61]
+    assert dense[61] is dense[100] and COUNT_CEILING == 2**61
+    assert lang.count_length(100, 10) == lang.count_length(100, 2**61 - 1) == 2**61
+    assert lang.count_length(100) == lang.count_length(100, 2**61) == 2**100
 
 
 def naive_enumerate_length(lang, n):
