@@ -14,10 +14,10 @@ grown on demand, one length at a time.  A rule beside a lifted terminal
 (`T_a` derives only length 1) has one split, so at[l - 1] passes on to
 its head; the splits s of other rules A -> B C (B derives s, C derives
 l - s) are the set bits of one AND of `bits[B]` with `rev[C]` shifted.
-CYK visits only the cells (A, l) in `at[l]`, and it and the parse tree
-join a fixed rule's one split directly.  The tree is two flat lists,
-parents first.  Length queries are bit tests, and a memo fills the cells
-its root reaches in ascending length.
+CYK keeps one dict of masks per nonterminal, keyed by the lengths in
+`at[l]`; it, the parse tree and the memos join a fixed rule's one split
+with no AND.  The tree is two flat lists, parents first.  Length queries
+are bit tests, and a memo fills the cells its root reaches by length.
 
 Grammar syntax: one production group per line, `A -> alpha | beta | eps`;
 nonterminals are uppercase identifiers, terminals are single lowercase
@@ -156,27 +156,29 @@ class LengthTable:
                     self.tested.append((a, b, c))
 
     def upto(self, n: int) -> LengthTable:
-        """Grow the table to cover every length up to n; returns self."""
+        """Grow the table to cover every length up to n; returns self.  Each
+        length's shifts are made once, and a one-head row is not sorted."""
         if n <= self.limit:
             return self
         if n > self.cap:
             grow = max(n, 2 * self.cap) - self.cap
             self.rev = {a: bits << grow for a, bits in self.rev.items()}
             self.cap += grow
-        bits, rev, at, feeds = self.bits, self.rev, self.at, self.feeds
+        bits, rev, at, feeds, tested = self.bits, self.rev, self.at, self.feeds, self.tested
         for l in range(self.limit + 1, n + 1):
             shift = self.cap - l
             heads: set[str] = set()
             for x in at[l - 1]:
                 heads.update(feeds[x])
             # a tested split's halves are shorter than l: set in earlier rounds
-            for a, b, c in self.tested:
+            for a, b, c in tested:
                 if a not in heads and bits[b] & (rev[c] >> shift):
                     heads.add(a)
-            at.append(sorted(heads, key=self.rank.__getitem__))
+            at.append(sorted(heads, key=self.rank.__getitem__) if len(heads) > 1 else list(heads))
+            bit, mirrored = 1 << l, 1 << shift
             for a in at[l]:
-                bits[a] |= 1 << l
-                rev[a] |= 1 << shift
+                bits[a] |= bit
+                rev[a] |= mirrored
         self.limit = n
         return self
 
@@ -187,9 +189,11 @@ class LengthTable:
 
     def rule_splits(self, b: str, c: str, side: int, l: int):
         """The splits of the rule (B, C, side) from `rules` at length l: a
-        fixed rule's one split, whether or not its other side derives the
-        rest, or else `splits`."""
-        return (1 if side > 0 else l - 1,) if side else self.splits(b, c, l)
+        fixed rule's one split if both halves derive it, or else `splits`."""
+        if side:
+            s = 1 if side > 0 else l - 1
+            return (s,) if self.bits[b] >> s & self.bits[c] >> (l - s) & 1 else ()
+        return self.splits(b, c, l)
 
 
 def _generating(prods) -> set[str]:
@@ -338,32 +342,31 @@ def to_normal_form(g: Grammar) -> _NormalFormGrammar:
 # ---------------------------------------------------------------------------
 # CYK membership (bitmask over start positions, per nonterminal and span)
 
-def _cyk_masks(nf: _NormalFormGrammar, w: str) -> dict[tuple[str, int], int]:
-    """masks[(A, l)] has bit i set iff A derives w[i:i+l].  Only the cells
-    whose length A derives are visited, and only non-zero masks are kept.
-    A fixed rule (`LengthTable.rules`) joins its one split directly; the
-    other rules join the splits the length table allows.  Every symbol of
-    w must be a terminal."""
+def _cyk_masks(nf: _NormalFormGrammar, w: str) -> dict[str, dict[int, int]]:
+    """masks[A][l] has bit i set iff A derives w[i:i+l]: one dict per
+    nonterminal, with non-zero masks only, at lengths A derives.  A fixed
+    rule (`LengthTable.rules`) joins its one split, the others the splits
+    the length table allows.  Every symbol of w must be a terminal."""
     table = nf.lengths.upto(len(w))
-    rules = table.rules
     positions = nf.terminals.positions(w)  # per symbol, a mask of where it is in w
     # distinct terminals hold disjoint positions, so their masks sum to their union
-    masks = {(a, 1): m for a in table.at[1]
-             if (m := sum(positions.get(t, 0) for t in nf.term_prods[a]))}
+    masks = {a: {1: m} if (m := sum(positions.get(t, 0) for t in nf.term_prods[a])) else {}
+             for a in nf.nonterminals}
+    rules = {a: [(masks[b], masks[c], side, table.bits[b], table.rev[c]) for b, c, side in alts]
+             for a, alts in table.rules.items()}
     for l in range(2, len(w) + 1):
+        shift = table.cap - l
         for a in table.at[l]:
             m = 0
-            for b, c, side in rules[a]:
+            for left, right, side, lengths, mirrored in rules[a]:
                 if side:
                     s = 1 if side > 0 else l - 1
-                    m |= masks.get((b, s), 0) & (masks.get((c, l - s), 0) >> s)
+                    m |= left.get(s, 0) & (right.get(l - s, 0) >> s)
                     continue
-                for s in table.splits(b, c, l):
-                    left = masks.get((b, s))
-                    if left:
-                        m |= left & (masks.get((c, l - s), 0) >> s)
+                for s in set_bits(lengths & (mirrored >> shift)):
+                    m |= left.get(s, 0) & (right.get(l - s, 0) >> s)
             if m:  # the right half starts s after the left, so m fits w
-                masks[(a, l)] = m
+                masks[a][l] = m
     return masks
 
 
@@ -409,8 +412,8 @@ def _build_tree(nf: _NormalFormGrammar, masks, w: str):
             continue
         split = next(((b, s, c) for b, c, side in table.rules[a]
                       for s in table.rule_splits(b, c, side, l)
-                      if masks.get((b, s), 0) >> i & 1
-                      and masks.get((c, l - s), 0) >> (i + s) & 1), None)
+                      if masks[b].get(s, 0) >> i & 1
+                      and masks[c].get(l - s, 0) >> (i + s) & 1), None)
         if split is None:
             raise FoldlangError(f"no derivation for {a} over w[{i}:{i + l}]")
         b, s, c = split
@@ -458,7 +461,7 @@ class ContextFreeLang:
             return nf.start_epsilon
         if not nf.terminals.covers(w):
             return False
-        return bool(_cyk_masks(nf, w).get((nf.start, len(w)), 0) & 1)
+        return bool(_cyk_masks(nf, w)[nf.start].get(len(w), 0) & 1)
 
     def enumerate_length(self, n: int) -> tuple[str, ...]:
         if n < 0:
@@ -480,6 +483,8 @@ class ContextFreeLang:
         known = self._strings.get((self.normal_form.start, n))
         if known is not None:
             return len(known)
+        if budget == 0:  # over budget iff not empty
+            return int(self.has_length(n))
         kept = len(self._strings)
         try:
             return len(self._slice(n, budget))
@@ -536,23 +541,28 @@ class ContextFreeLang:
     def _solve(self, memo, n, leaf, join):
         """memo[(start, n)], filling first every entry it needs: the cells
         (A, l) it reaches through entries not yet kept, collected top-down
-        with their splits and combined by ascending length.  leaf gets A's
-        terminals, join the (B, C) entries of every split of A -> B C."""
+        with the part keys of their `rule_splits` and combined by ascending
+        length.  leaf gets A's terminals, join the (B, C) entries of A's splits."""
         nf = self.normal_form
-        table, root = nf.lengths.upto(n), (nf.start, n)
-        cells: dict[tuple, list] = {} if root in memo else {root: []}  # cell: its splits
-        order = list(cells)
-        for a, l in order:  # order grows while it is walked
-            for b, c in nf.bin_prods[a]:
-                for s in table.splits(b, c, l):
-                    cells[(a, l)].append((b, s, c))
-                    for part in ((b, s), (c, l - s)):
-                        if part not in memo and part not in cells:
+        root = (nf.start, n)
+        if root in memo:
+            return memo[root]
+        table = nf.lengths.upto(n)
+        cells: dict[tuple, list] = {root: []}  # cell: the part keys of its splits
+        order = [root]
+        for cell in order:  # order grows while it is walked
+            a, l = cell
+            for b, c, side in table.rules[a]:
+                for s in table.rule_splits(b, c, side, l):
+                    parts = (b, s), (c, l - s)
+                    cells[cell].append(parts)
+                    for part in parts:
+                        if part not in cells and part not in memo:
                             cells[part] = []
                             order.append(part)
-        for a, l in sorted(order, key=lambda cell: cell[1]):
-            memo[(a, l)] = (leaf(nf.term_prods[a]) if l == 1 else
-                            join([(memo[(b, s)], memo[(c, l - s)]) for b, s, c in cells[(a, l)]]))
+        for cell in sorted(order, key=lambda cell: cell[1]):
+            memo[cell] = (leaf(nf.term_prods[cell[0]]) if cell[1] == 1 else
+                          join([(memo[x], memo[y]) for x, y in cells[cell]]))
         return memo[root]
 
     def pumping_length(self) -> int:
@@ -563,8 +573,8 @@ class ContextFreeLang:
         """Decompose via the lowest repeated-nonterminal pair on the longest
         root-to-leaf path of a deterministic parse tree."""
         nf = self.normal_form
-        masks = _cyk_masks(nf, w) if nf.terminals.covers(w) else {}
-        if not (masks.get((nf.start, len(w)), 0) & 1 if w else nf.start_epsilon):
+        masks = _cyk_masks(nf, w) if nf.terminals.covers(w) else {nf.start: {}}
+        if not (masks[nf.start].get(len(w), 0) & 1 if w else nf.start_epsilon):
             raise DecompositionError(f"{w!r} is not a member")
         p = self.pumping_length()
         if len(w) < p:

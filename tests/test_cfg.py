@@ -9,8 +9,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from foldlang import (Alphabet, ContextFreeLang, auto_plan, cfg, parse_grammar, pumping,
-                      to_normal_form)
+from foldlang import (PROC_ALPHABET, Alphabet, ContextFreeLang, auto_plan, cfg, parse_grammar,
+                      pumping, to_normal_form)
 from foldlang.cfg import _drop_nullable, _nullable_set, _prune_useless
 from foldlang.errors import DecompositionError, FoldlangError, GrammarSyntaxError, ResourceLimit
 
@@ -402,9 +402,14 @@ def test_long_right_hand_side_needs_no_recursion(long_chain):
     assert not long_chain.member("a" * 1499)
 
 
+def flat_masks(masks):
+    """The CYK masks keyed by (A, l), from their per-nonterminal dicts."""
+    return {(a, l): m for a, row in masks.items() for l, m in row.items()}
+
+
 def test_cyk_keeps_only_derivable_cells(long_chain):
     nf = long_chain.normal_form
-    masks = cfg._cyk_masks(nf, "a" * 1500)
+    masks = flat_masks(cfg._cyk_masks(nf, "a" * 1500))
     table = nf.lengths
     assert all(table.bits[a] >> l & 1 for a, l in masks)
     # each chain nonterminal derives one length, so one cell each
@@ -486,7 +491,7 @@ def test_bitset_kernels_match_the_list_walk(text, words):
             assert list(table.splits(b, c, l)) == sorted(naive.splits(b, c, l))
     for w in words:
         expect = {cell: m for cell, m in naive_cyk_masks(nf, w, naive).items() if m}
-        assert cfg._cyk_masks(nf, w) == expect
+        assert flat_masks(cfg._cyk_masks(nf, w)) == expect
 
 
 def one_symbol_edits(w):
@@ -514,10 +519,10 @@ def test_cyk_matches_the_list_walk_on_long_inputs(text, members):
     nf = ContextFreeLang(text, AB).normal_form
     naive = NaiveLengthTable(nf)
     for w in members:
-        assert cfg._cyk_masks(nf, w)[(nf.start, len(w))] == 1
+        assert flat_masks(cfg._cyk_masks(nf, w))[(nf.start, len(w))] == 1
         for v in [w, *one_symbol_edits(w)]:
             expect = {cell: m for cell, m in naive_cyk_masks(nf, v, naive).items() if m}
-            assert cfg._cyk_masks(nf, v) == expect
+            assert flat_masks(cfg._cyk_masks(nf, v)) == expect
 
 
 class ScanningLengthTable:
@@ -607,6 +612,15 @@ class DepthFirstContextFreeLang(ContextFreeLang):
         return fill(memo, (nf.start, n), parts, combine)
 
 
+def assert_memos_match(lang, reference, calls):
+    for call in calls:
+        kept = dict(lang._strings)
+        assert call(lang) == call(reference)
+        assert lang._least == reference._least
+        assert lang._strings == reference._strings
+        assert kept.items() <= lang._strings.items()
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_grammars("ab", max_rhs=6))
 @example(DYCK)
@@ -614,23 +628,47 @@ class DepthFirstContextFreeLang(ContextFreeLang):
 @example("S -> a a S b | eps")
 @example("S -> S S | a | b")
 def test_length_ordered_memos_match_the_depth_first_fill(text):
-    lang, reference = ContextFreeLang(text, AB), DepthFirstContextFreeLang(text, AB)
     calls = [
         lambda x: x.smallest_of_length(5),
         lambda x: x.enumerate_length(4),
-        lambda x: x.count_length(9, 0),    # refused when slice 9 is not empty
+        lambda x: x.count_length(9, 0),    # read off the length table: builds nothing
         lambda x: x.smallest_of_length(12),
         lambda x: x.count_length(11, 30),  # refused after smaller slices are built
         lambda x: x.enumerate_length(7),
         lambda x: x.count_length(10, 10 ** 6),
         lambda x: x.smallest_of_length(9),
     ]
-    for call in calls:
-        kept = dict(lang._strings)
-        assert call(lang) == call(reference)
-        assert lang._least == reference._least
-        assert lang._strings == reference._strings
-        assert kept.items() <= lang._strings.items()
+    assert_memos_match(ContextFreeLang(text, AB), DepthFirstContextFreeLang(text, AB), calls)
+
+
+#: The two sides of the CF/CF greater pump demo, at the lengths of its
+#: strands (132-264).
+@pytest.mark.parametrize("text, alphabet", [("S -> a a S b | eps", AB),
+                                            ("S -> u S d | eps", PROC_ALPHABET)])
+def test_length_ordered_memos_match_the_depth_first_fill_at_pump_lengths(text, alphabet):
+    calls = [
+        lambda x: x.smallest_of_length(132),
+        lambda x: x.count_length(192, 64),
+        lambda x: x.enumerate_length(264),
+        lambda x: x.count_length(264, 0),  # the kept slice, counted as it stands
+    ]
+    assert_memos_match(ContextFreeLang(text, alphabet),
+                       DepthFirstContextFreeLang(text, alphabet), calls)
+
+
+def test_a_count_with_budget_0_reads_only_the_length_table(monkeypatch):
+    kept = ContextFreeLang(DYCK, AB)
+    kept.enumerate_length(6)
+
+    def no_solve(*args):
+        raise AssertionError("a count with budget 0 collected a slice")
+
+    monkeypatch.setattr(ContextFreeLang, "_solve", no_solve)
+    lang = ContextFreeLang(DYCK, AB)
+    assert lang.count_length(254, 0) == 1  # over budget: slice 254 is not empty
+    assert lang.count_length(253, 0) == 0
+    assert lang._strings == {}
+    assert kept.count_length(6, 0) == 5    # a kept slice is counted as it stands
 
 
 @dataclass
@@ -675,7 +713,7 @@ def reference_decomposition(lang, w):
     """(decompose(w).pieces, the longest path as (A, start, length) nodes)
     from the linked-node tree, or the DecompositionError text."""
     nf = lang.normal_form
-    masks = cfg._cyk_masks(nf, w) if nf.terminals.covers(w) else {}
+    masks = flat_masks(cfg._cyk_masks(nf, w)) if nf.terminals.covers(w) else {}
     if not (masks.get((nf.start, len(w)), 0) & 1 if w else nf.start_epsilon):
         return f"{w!r} is not a member"
     p = lang.pumping_length()

@@ -4,12 +4,15 @@ import argparse
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from foldlang import PumpFamily, finite_language_system, fs_enumerate
 from foldlang.cli import _build_parser, _dispatch, run
 from foldlang.errors import FoldlangError
+
+CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
 
 BB_FRONT_SPEC = """\
 alphabet = a b
@@ -361,3 +364,46 @@ def test_enum_output_is_pinned(capsys, tmp_path):
         assert out == sorted(words, key=lambda w: (len(w), w))
         got[seed, size, symbols] = _sha("\n".join(out))
     assert got == {**ENUM_PINS, **FINITE_PINS}
+
+
+#: The benchmark corpus's seven pump systems under `foldlang pump <spec>
+#: --imax 6 --json`, and its six demo systems under `foldlang enum <spec>
+#: --max-len 40`, each mapping to the sha256 of stdout: every plan's xi, mu
+#: and case, and every listing, byte for byte.
+CORPUS_PINS = {
+    ("pump", "demo_reg_reg"):
+        "8b61310cd7556ebdd307365ba461a2a46a570220fa94e1095342298316754266",
+    ("pump", "demo_cf_reg"):
+        "f8b45404ee2fa16d0aefde4f1f989c8bbb50876b011bb86d318e7f02efd21cc2",
+    ("pump", "demo_reg_cf"):
+        "9abd17bdd512f0b270213e5f4c65cf25ee5702276b98de57524c5bb8db078f02",
+    ("pump", "demo_cf_cf_equal"):
+        "05dbc182d6d01995cb100f6d52e576880677cfcd7b02b85255af4c83d12e6c12",
+    ("pump", "demo_cf_cf_greater"):
+        "844d1d89008657af0d5965f5ff713d69615ccc1c831c673d148a7bdf36d0b3e1",
+    ("pump", "demo_cf_cf_degenerate"):
+        "36d5c9f1b33e25dcfa6236dbedbe8984c9077ca883ade7b0c73576a1dea430b7",
+    ("pump", "ab_pairs_dense"):
+        "6adfcbba1458457541a468a1f891b05d8d66068b01f4cea0db873902dc71ec19",
+    ("enum", "demo_reg_reg"):
+        "674da1a293dadf394c88b038819f7c988c7501454310d835c76defc7a8bce8ec",
+    ("enum", "demo_cf_reg"):
+        "5c6f14b07ede26f089c9432f28ffaf83f6fb6c549b7de5102e6b2c8675369c3c",
+    ("enum", "demo_reg_cf"):
+        "1e5a67ba93f0c0ea6eb27558b9fbc81b3cb0639e68d8c027cdcd2552e9a9eaea",
+    ("enum", "demo_cf_cf_equal"):
+        "809c1096b41a0cc84f960148745ab428ba8a2dd5c00b978800d814a8f261040d",
+    ("enum", "demo_cf_cf_greater"):
+        "8f862bfbd9e74dbcffb9b498545435680f766abc9bc239ad111b640bd000f6d6",
+    ("enum", "demo_cf_cf_degenerate"):
+        "eb3a85e1350a8d6128434f671cdde2b0f1535bb51cb28ade0f6a9a9a24ce3e49",
+}
+
+
+def test_corpus_output_is_pinned(capsys):
+    got = {}
+    for command, stem in CORPUS_PINS:
+        options = ["--imax", "6", "--json"] if command == "pump" else ["--max-len", "40"]
+        assert run([command, str(CORPUS / f"{stem}.fsys"), *options]) == 0
+        got[command, stem] = _sha(capsys.readouterr().out)
+    assert got == CORPUS_PINS
