@@ -9,11 +9,12 @@ Every query can be answered by a walk over two DFAs: a regular side's
 own, and for a context-free side the minimal DFA of its slices, each
 counted against the pair cap first (`_count_slices`, the one gate).  A
 regular side is asked only `has_length`.  Membership moves the fold
-windows of w, one int of window starts per product state, all at once
-per symbol (`_step`), and a witness (the least pair) is read back off the
-same walk with its inverse (`_reaching`).  Enumeration (a fold grows its
-output from the middle out) moves the fold stacks.  The frozen F-system
-keeps what a window walk at n reads (`_walk`).
+windows of w, every start 0..|w| as the bits of one int per product
+state, all at once per symbol (`_step`), and a witness (the least pair)
+is read back off the same walk with its inverse (`_reaching`).
+Enumeration (a fold grows its output from the middle out) moves the fold
+stacks.  The frozen F-system keeps the two DFAs a window walk at n reads
+(`_walk`).
 
 Folding every pair (`_folds`), the definition of L(Phi), is a bounded
 shortcut beside the walk: a route folds only when its pairs, counted
@@ -25,8 +26,7 @@ ResourceLimit before it builds more than the cap allows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import ClassVar, Protocol
 
 from .cfg import CfgDecomposition, ContextFreeLang
@@ -249,49 +249,35 @@ def _too_many_stacks(n: int, pair_cap: int):
 
 
 def _walk(phi: FSystem, n: int, pair_cap: int | None = None):
-    """(core DFA, procedure DFA, u-count mask) for a window walk at n, a
-    length with pairs: built on the first walk at n and kept with the
-    system.  The DFAs are `_automata`'s, checked by `_check_tables`
-    first for a witness's walk (given its pair_cap).  Bit j of the mask is
-    set iff an accepted s of length n has exactly j u steps: one forward
-    pass, each procedure state mapping to the u counts of the prefixes that
-    reach it, pruned by `live` to the states that still reach acceptance."""
-    walk = phi._walks.get(n)
-    core, proc = walk[:2] if walk else _automata(phi, [n])
+    """[core DFA, procedure DFA] for a window walk at n, a length with
+    pairs: `_automata`'s, built on the first walk at n and kept with the
+    system, once they pass `_check_tables` for a witness's walk (given its
+    pair_cap)."""
+    core, proc = walk = phi._walks.get(n) or _automata(phi, [n])
     if pair_cap is not None:  # n + 1 layers of up to |Q|·|P| ints of n + 1 bits
         _check_tables((n + 1) ** 2 * core.n_states * proc.n_states,
                       f"witness layers at length {n} would hold up to", pair_cap)
-    if walk is None:
-        table = proc.live(n)
-        reach = {proc.start: 1} if proc.start in table[n] else {}
-        for k in range(n - 1, -1, -1):
-            following = {}
-            for p, ups in reach.items():
-                moves = proc.transitions[p]
-                for r, moved in ((moves["u"], ups << 1), (moves["d"], ups)):
-                    if r in table[k]:
-                        following[r] = following.get(r, 0) | moved
-            reach = following
-        walk = phi._walks[n] = core, proc, reduce(or_, reach.values(), 0)
+    phi._walks[n] = walk
     return walk
 
 
-def _window_layers(core, proc, starts: int, w: str):
+def _window_layers(core, proc, w: str):
     """The layers of the window walk over the core DFA and the procedure
     DFA, t = 0, 1, ... steps in: each maps a (core state, procedure state)
     to its set of window starts, one int.  After t steps the fold stack of
     a pair (r, s), both of length |w|, that folds to w is the window
     w[j:j+t], j the u steps still to come.  Layer 0 holds the start pair
-    at starts, the u counts of the accepted s (`_walk`'s mask), and each
-    later layer is one `_step` on every symbol: a u step lowers j and a d
-    step reads w[j+t], so j never exceeds the steps left.  The walk ends at
-    the first empty layer, so layer |w| exists, holding only accepting
-    pairs at j = 0, iff w folds.  O(|w|·|Q|·|P|·|Σ|) big-int operations."""
+    at every start j in 0..|w|, and each later layer is one `_step` on
+    every symbol: a u step lowers j and a d step reads w[j+t], so j + t
+    never exceeds |w| and layer |w| holds only j = 0, the u steps all
+    taken.  The walk ends at the first empty layer, so layer |w| exists,
+    holding only accepting pairs, iff w folds.  O(|w|·|Q|·|P|·|Σ|) big-int
+    operations."""
     n = len(w)
     core_live, proc_live = core.live(n), proc.live(n)
-    if core.start not in core_live[n] or not starts:
+    if core.start not in core_live[n] or proc.start not in proc_live[n]:
         return
-    layer = {(core.start, proc.start): starts}
+    layer = {(core.start, proc.start): (1 << (n + 1)) - 1}
     yield layer
     reads = list(core.alphabet.positions(w).items())
     for t in range(n):
@@ -346,20 +332,19 @@ def _reaching(core, proc, layer, t: int, reads, after):
     return kept
 
 
-def _least_pair(core, proc, starts: int, w: str) -> tuple[str, str] | None:
+def _least_pair(core, proc, w: str) -> tuple[str, str] | None:
     """The least (r, s) that folds to w, r accepted by the core DFA and s
-    by the procedure DFA, starts its u-count mask (`_walk`), or None: the
-    least r in core order, then the least s, u before d.  The window walk's
-    layers (`_window_layers`) are kept, and a backward pass (`_reaching`)
-    keeps only the starts that still reach acceptance.  r is then picked
-    one symbol at a time, the least a whose `_step` on a alone reaches a
-    start of the next layer, which shrinks to those starts.  A second pass
-    keeps the starts r's rest takes to acceptance, and s is picked the same
-    way: u if the step on r's symbol without its d moves reaches a start,
-    else d.
+    by the procedure DFA, or None: the least r in core order, then the
+    least s, u before d.  The window walk's layers (`_window_layers`) are
+    kept, and a backward pass (`_reaching`) keeps only the starts that
+    still reach acceptance.  r is then picked one symbol at a time, the
+    least a whose `_step` on a alone reaches a start of the next layer,
+    which shrinks to those starts.  A second pass keeps the starts r's
+    rest takes to acceptance, and s is picked the same way: u if the step
+    on r's symbol without its d moves reaches a start, else d.
     O(|w|·|Q|·|P|·|Σ|) big-int operations and |w| + 1 layers."""
     n = len(w)
-    layers = list(_window_layers(core, proc, starts, w))
+    layers = list(_window_layers(core, proc, w))
     if len(layers) <= n:
         return None
     core_live, proc_live, pos = core.live(n), proc.live(n), core.alphabet.positions(w)

@@ -383,14 +383,19 @@ def tuple_walk_windows(core, proc, w):
 
 def walks_to_the_end(phi, w):
     """Whether the window walk at |w| the system keeps yields layer |w|:
-    the decision fs_member makes."""
-    return sum(1 for _ in fsystem._window_layers(*fsystem._walk(phi, len(w)), w)) == len(w) + 1
+    the decision fs_member makes.  The walk starts at every window, and
+    layer |w| holds start 0 alone: j + t never exceeds |w|."""
+    layers = list(fsystem._window_layers(*fsystem._walk(phi, len(w)), w))
+    if len(layers) <= len(w):
+        return False
+    assert all(starts == 1 for starts in layers[len(w)].values()), w
+    return True
 
 
 def walk_automata(phi, n):
     """The DFAs a walk at length n reads, as the system keeps them: a
     regular side's own, a context-free side's slice DFA."""
-    return fsystem._walk(phi, n)[:2]
+    return fsystem._walk(phi, n)
 
 
 def random_member(auto, n, rng):
@@ -632,11 +637,10 @@ def test_walk_tables_are_bounded_before_they_grow(monkeypatch):
     # so the pairing walks; each DFA has three states
     w = fold("a" * 200 + "b" * 200, "ud" * 200)
     phi = system("a*b*", "(ud)*")
-    # a decision keeps one layer at a time, and of the procedure only its
-    # counts and one int of u counts per length: it answers at the least cap
-    # that lets the 401 pairs through
+    # a decision keeps one layer at a time, and per length only the two
+    # DFAs: it answers at the least cap that lets the 401 pairs through
     assert fs_member(phi, w, pair_cap=401) is True
-    assert {n: starts for n, (_, _, starts) in phi._walks.items()} == {400: 1 << 200}
+    assert phi._walks == {400: [phi.core.automaton, phi.proc.automaton]}
     # 1,000 pairs buy 512,000 bits, not enough for a witness's 401 layers of
     # up to 9 ints of 401 bits; the refusal comes before the first layer
     refusal = ("^witness layers at length 400 would hold up to 1447209 bits: over the budget "
@@ -645,10 +649,8 @@ def test_walk_tables_are_bounded_before_they_grow(monkeypatch):
         patch.setattr(fsystem, "_window_layers", None)
         with pytest.raises(ResourceLimit, match=refusal):
             fs_member(phi, w, pair_cap=1000, with_witness=True)
-        # on a system with no walk kept, the refusal also comes before the
-        # u-count mask's pass, and keeps no walk
+        # on a system with no walk kept, the refusal keeps no walk
         fresh = system("a*b*", "(ud)*")
-        patch.setattr(fsystem, "reduce", None)
         with pytest.raises(ResourceLimit, match=refusal):
             fs_member(fresh, w, pair_cap=1000, with_witness=True)
         assert fresh._walks == {}
@@ -674,25 +676,16 @@ def test_long_witness_keeps_tables_linear_in_n():
     assert kept < 10_000_000
 
 
-@pytest.mark.parametrize("context_free", [False, True], ids=["regex", "slice DFA"])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_u_counts_match_the_slice(context_free, data):
-    side = data.draw(languages(PROC_ALPHABET, context_free))
-    phi = FSystem(lang("(a|b)*", AB), side)
-    for n in range(11):
-        expected = 0
-        for s in side.enumerate_length(n):
-            expected |= 1 << s.count("u")
-        assert fsystem._walk(phi, n)[2] == expected, n
-
-
-def test_u_counts_of_empty_slices_and_the_empty_word():
-    for text, n, expected in [("[]", 0, 0), ("()", 0, 1), ("()", 3, 0), ("(ud)*", 0, 1),
-                              ("(ud)*", 5, 0), ("(ud)*", 6, 1 << 3), ("(u|d)*", 3, 0b1111),
-                              ("S -> u S d | eps", 4, 1 << 2), ("S -> u S d | eps", 3, 0)]:
-        phi = FSystem(lang("(a|b)*", AB), lang(text, PROC_ALPHABET))
-        assert fsystem._walk(phi, n)[2] == expected, (text, n)
+@pytest.mark.parametrize("proc,n", [("[]", 0), ("()", 0), ("()", 3), ("(ud)*", 0),
+                                    ("(ud)*", 5), ("(ud)*", 6), ("(u|d)*", 3),
+                                    ("S -> u S d | eps", 3), ("S -> u S d | eps", 4)])
+def test_walk_from_every_window_decides_empty_and_thin_slices(proc, n):
+    # the walk starts at every j in 0..n, also where no accepted s has j u
+    # steps: (ud)* at 6 has only 3, u^2 d^2 only 2, and the empty word 0
+    phi = FSystem(lang("(a|b)*", AB), lang(proc, PROC_ALPHABET))
+    least = fold_oracle(phi, n)
+    for w in map("".join, itertools.product(AB.symbols, repeat=n)):
+        assert fs_member(phi, w) is (w in least), w
 
 
 #: The six systems of demos/pumping_pipelines.py, one or more per pairing.
